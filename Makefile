@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-smoke bench-nic-smoke bench-cluster-smoke bench-reshard-smoke bench-quorum-smoke bench-tracking-smoke clean
+.PHONY: all build test vet lint race verify bench bench-smoke clean
 
 all: verify
 
@@ -41,32 +41,6 @@ bench:
 # cluster, runs, and renders. Numbers are meaningless at this scale.
 bench-smoke:
 	$(GO) run ./cmd/skv-bench -smoke
-
-# The NIC read path alone (§IV-A ablation, host- vs NIC-served reads at
-# 1/2/4 shards): the quick check that the sharded shadow replica still
-# builds, applies the stream, and serves reads.
-bench-nic-smoke:
-	$(GO) run ./cmd/skv-bench -smoke -exp ablate-niccache
-
-# The multi-master hash-slot path alone (ext-cluster, masters 1/2/4):
-# the quick check that the slot plane still builds its groups, the
-# slot-aware clients route and repair their maps, and scale-out holds.
-bench-cluster-smoke:
-	$(GO) run ./cmd/skv-bench -smoke -exp ext-cluster
-
-# the quick check that live slot migration moves a range under load: the
-# ASK/ASKING window, the per-key CAS transfer, and the final NODE flip.
-bench-reshard-smoke:
-	$(GO) run ./cmd/skv-bench -smoke -exp ext-reshard
-
-bench-quorum-smoke:
-	$(GO) run ./cmd/skv-bench -smoke -exp ext-quorum
-
-# Client-side caching (ext-tracking): CLIENT TRACKING on the workload
-# clients, NIC-pushed invalidations, and the tracked-vs-NIC-served read
-# comparison, at tiny scale.
-bench-tracking-smoke:
-	$(GO) run ./cmd/skv-bench -smoke -exp ext-tracking
 
 clean:
 	$(GO) clean ./...

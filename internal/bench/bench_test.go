@@ -31,10 +31,12 @@ func TestMetricStorage(t *testing.T) {
 }
 
 func TestIDsAndByIDAgree(t *testing.T) {
+	seen := make(map[string]bool)
 	for _, id := range IDs() {
-		// Don't run them (expensive); just check the dispatcher knows the
-		// cheap one and rejects garbage.
-		_ = id
+		if seen[id] {
+			t.Fatalf("experiment id %q registered twice", id)
+		}
+		seen[id] = true
 	}
 	if ByID("nonsense") != nil {
 		t.Fatal("unknown id accepted")

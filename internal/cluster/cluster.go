@@ -291,9 +291,9 @@ type Cluster struct {
 	SlaveAgents []*core.SlaveAgent // SKV only
 	HostKV      *core.HostKV       // SKV only
 	NicKV       *core.NicKV        // SKV only
-	// Clients is the workload: plain closed-loop clients on single-master
-	// deployments, slot-aware clients when Masters > 1 — both behind the
-	// one workload.KV interface.
+	// Clients is the workload: slot-aware closed-loop clients, routing by
+	// a one-group map on single-master deployments and by SlotMap when
+	// Masters > 1.
 	Clients []workload.KV
 
 	MasterMachine *fabric.Machine
@@ -378,8 +378,12 @@ func Build(cfg Config) *Cluster {
 		return srv, stack
 	}
 
+	env := workload.Env{
+		Eng: eng, Params: p, MakeStack: makeStack, Wakeup: p.ClientWakeup,
+		Port: core.ClientPort, Resolve: c.resolveEP,
+	}
 	if cfg.Cluster.Masters > 1 {
-		c.buildMulti(newServer, makeStack)
+		c.buildMulti(newServer, env)
 		return c
 	}
 
@@ -415,37 +419,45 @@ func Build(cfg Config) *Cluster {
 		}
 	}
 
-	// Clients, one machine each (the load generator box is never the
-	// bottleneck, as with redis-benchmark on its own server). The dial
-	// target is fixed at build time: the master host, or the SmartNIC
-	// endpoint when the workload exercises NIC-served reads.
+	// The clients route by a one-group slot map over the dial target, fixed
+	// at build time: the master host, or the SmartNIC endpoint when the
+	// workload exercises NIC-served reads. The map is the clients' alone
+	// (c.SlotMap stays nil) and does not follow promotion: a promoted
+	// slave's writes are not merged back when it is demoted.
 	target := c.MasterMachine.Host
 	if cfg.NicReads == NicReadsClients {
 		target = c.MasterMachine.NIC
 		c.epByName[target.Name()] = target
 	}
-	env := workload.Env{
-		Eng: eng, Params: p, MakeStack: makeStack, Wakeup: p.ClientWakeup,
-		Port: core.ClientPort, Resolve: c.resolveEP,
+	table, err := slots.NewMap(1, nil, []string{target.Name()})
+	if err != nil {
+		panic(fmt.Sprintf("cluster: one-group slot map: %v", err))
 	}
+	env.Table = table
 	if cfg.Kind == KindSKV && cfg.Tracking && cfg.NicReads != NicReadsClients {
 		// Redirect mode: the server forwards tracked interest to its NIC
 		// and the NIC pushes invalidations out-of-band to the subscriber.
 		env.Invalidation = c.MasterMachine.NIC
 		env.InvalidationPort = core.NicPort
 	}
-	for i := 0; i < cfg.Clients; i++ {
-		m := net.NewMachine(fmt.Sprintf("client%d", i), false)
-		env := env
-		env.EP = m.Host
-		env.Gen = workload.NewGeneratorSkew(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf, cfg.zipfS())
-		cl := workload.New(fmt.Sprintf("client%d", i), env, workload.Options{
-			Addrs: []string{target.Name()}, Pipeline: cfg.Pipeline,
-			Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
-		})
-		c.Clients = append(c.Clients, cl)
-	}
+	c.addClients(env)
 	return c
+}
+
+// addClients builds Cfg.Clients clients routing by env.Table, one machine
+// each (the load generator box is never the bottleneck, as with
+// redis-benchmark on its own server), named and seeded independently of the
+// group count.
+func (c *Cluster) addClients(env workload.Env) {
+	cfg := c.Cfg
+	for i := 0; i < cfg.Clients; i++ {
+		name := fmt.Sprintf("client%d", i)
+		env.EP = c.Net.NewMachine(name, false).Host
+		env.Gen = workload.NewGeneratorSkew(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf, cfg.zipfS())
+		c.Clients = append(c.Clients, workload.New(name, env, workload.Options{
+			Pipeline: cfg.Pipeline, Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
+		}))
+	}
 }
 
 // resolveEP maps a server address (an endpoint name) to its endpoint.
@@ -459,13 +471,12 @@ func (c *Cluster) resolveEP(addr string) *fabric.Endpoint {
 
 // buildMulti assembles the hash-slot deployment: Masters replication
 // groups, one shared epoch-versioned slot map every server routes against,
-// and slot-aware clients. Group gi's machines are named g<gi>.master /
-// g<gi>.slave<i>; seeds are offset by 1000*gi so groups draw independent
-// but reproducible randomness. Client naming and seeding match the legacy
-// path (the load is a property of the deployment, not of the group count).
+// and clients routing by that map. Group gi's machines are named
+// g<gi>.master / g<gi>.slave<i>; seeds are offset by 1000*gi so groups draw
+// independent but reproducible randomness.
 func (c *Cluster) buildMulti(
 	newServer func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) (*server.Server, transport.Stack),
-	makeStack func(*fabric.Endpoint, *sim.Proc) transport.Stack,
+	env workload.Env,
 ) {
 	cfg := c.Cfg
 	p := c.Params
@@ -539,19 +550,8 @@ func (c *Cluster) buildMulti(
 		c.SlaveMachines = append(c.SlaveMachines, g.SlaveMachines...)
 	}
 
-	for i := 0; i < cfg.Clients; i++ {
-		m := net.NewMachine(fmt.Sprintf("client%d", i), false)
-		gen := workload.NewGeneratorSkew(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf, cfg.zipfS())
-		cl := workload.New(fmt.Sprintf("client%d", i), workload.Env{
-			Eng: eng, Params: p, EP: m.Host, MakeStack: makeStack, Gen: gen,
-			Wakeup: p.ClientWakeup, Port: core.ClientPort,
-			Resolve: c.resolveEP, Table: slotMap,
-		}, workload.Options{
-			Slots: true, Pipeline: cfg.Pipeline,
-			Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
-		})
-		c.Clients = append(c.Clients, cl)
-	}
+	env.Table = slotMap
+	c.addClients(env)
 }
 
 // AwaitReplication runs the simulation until every slave reaches the
@@ -620,7 +620,7 @@ type Result struct {
 	// Masters is the replication-group count (1 for legacy deployments).
 	Masters int
 	// GroupOps is the per-group operation count over the measure window
-	// (Masters > 1 only) — the slot-load balance across groups.
+	// (one entry per group) — the slot-load balance across groups.
 	GroupOps []uint64
 	// Moved counts MOVED redirects clients absorbed over the whole run
 	// (Masters > 1 only).
@@ -661,12 +661,7 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	if c.NicKV != nil {
 		nicBusy = busyAt(c.NicKV.Proc().Core)
 	}
-	groupStart := make([]uint64, len(c.Groups))
-	for _, cl := range c.Clients {
-		for g, n := range cl.Stats().GroupDone {
-			groupStart[g] += n
-		}
-	}
+	groupStart := c.groupDone()
 	c.Eng.Run(end)
 	windowUtil := func(before sim.Duration, core *sim.Core) float64 {
 		u := float64(core.BusyTime()-before) / float64(duration)
@@ -713,18 +708,26 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	if c.NicKV != nil {
 		res.NicUtil = windowUtil(nicBusy, c.NicKV.Proc().Core)
 	}
-	if len(c.Groups) > 0 {
-		res.GroupOps = make([]uint64, len(c.Groups))
-		for _, cl := range c.Clients {
-			for g, n := range cl.Stats().GroupDone {
-				res.GroupOps[g] += n
-			}
-		}
-		for g := range res.GroupOps {
-			res.GroupOps[g] -= groupStart[g]
-		}
+	res.GroupOps = c.groupDone()
+	for g := range res.GroupOps {
+		res.GroupOps[g] -= groupStart[g]
 	}
 	return res
+}
+
+// groupDone sums the clients' per-group completion counters, sized by the
+// groups the clients route to (one on a single-master deployment).
+func (c *Cluster) groupDone() []uint64 {
+	var sum []uint64
+	for _, cl := range c.Clients {
+		for g, n := range cl.Stats().GroupDone {
+			if g == len(sum) {
+				sum = append(sum, 0)
+			}
+			sum[g] += n
+		}
+	}
+	return sum
 }
 
 // Run advances the simulation to the given horizon (helper for scenario

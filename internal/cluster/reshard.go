@@ -373,7 +373,7 @@ func (l *reshardLedger) next() {
 }
 
 // route targets the key's current owner per the authoritative map (the
-// ledger is an oracle, not a staleness test — SlotClient covers stale maps).
+// ledger is an oracle, not a staleness test — the workload client covers stale maps).
 func (l *reshardLedger) route(k, v string) {
 	addr := l.c.SlotMap.Addr(l.c.SlotMap.Owner(slots.Slot([]byte(k))))
 	l.sendSet(addr, k, v, false)

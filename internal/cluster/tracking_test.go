@@ -206,6 +206,97 @@ func TestTrackingSmokeSKVRedirect(t *testing.T) {
 	}
 }
 
+// TestTrackingRedirectClientResubscribes drives the workload client's
+// redirect-mode recovery: one client's subscription channel is severed
+// mid-load. The client must flush its cache, subscribe afresh, serve from
+// the cache again, and end coherent with the master.
+func TestTrackingRedirectClientResubscribes(t *testing.T) {
+	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 3, Seed: 45,
+		KeySpace: 300, GetRatio: 0.8, Zipf: true, Tracking: true,
+		SKV: core.DefaultConfig()})
+	if !c.AwaitReplication(2 * sim.Second) {
+		t.Fatal("initial replication did not complete")
+	}
+	c.StartClients()
+	c.Eng.RunFor(100 * sim.Millisecond)
+	if got := c.NicKV.TrackingSubscribers(); got != len(c.Clients) {
+		t.Fatalf("NIC holds %d subscribers under load, want %d", got, len(c.Clients))
+	}
+	victim := c.Clients[1]
+	if len(victim.CacheEntries()) == 0 {
+		t.Fatal("victim cached nothing before the cut")
+	}
+	before := victim.Stats()
+	if !c.NicKV.SeverSubscriber(victim.Name()) {
+		t.Fatalf("NIC holds no subscriber %q", victim.Name())
+	}
+	c.Eng.RunFor(5 * sim.Millisecond)
+	if got := c.NicKV.TrackingSubscribers(); got != len(c.Clients)-1 {
+		t.Fatalf("NIC holds %d subscribers after the cut, want %d", got, len(c.Clients)-1)
+	}
+	if st := victim.Stats(); st.Flushes <= before.Flushes {
+		t.Fatalf("subscription loss did not flush the cache: flushes %d -> %d", before.Flushes, st.Flushes)
+	}
+	c.Eng.RunFor(45 * sim.Millisecond)
+	if got := c.NicKV.TrackingSubscribers(); got != len(c.Clients) {
+		t.Fatalf("NIC holds %d subscribers after re-subscription, want %d", got, len(c.Clients))
+	}
+	resubscribed := victim.Stats()
+	c.Eng.RunFor(100 * sim.Millisecond)
+	if st := victim.Stats(); st.Hits <= resubscribed.Hits || st.Invalidations <= resubscribed.Invalidations {
+		t.Fatalf("cache not re-armed after re-subscription: hits %d -> %d, invalidations %d -> %d",
+			resubscribed.Hits, st.Hits, resubscribed.Invalidations, st.Invalidations)
+	}
+	for _, cl := range c.Clients {
+		cl.Stop()
+	}
+	c.Eng.RunFor(100 * sim.Millisecond)
+	if _, _, entries := requireCachesCoherent(t, "redirect-resubscribe", c); entries == 0 {
+		t.Fatal("caches empty at quiesce")
+	}
+}
+
+// TestTrackingRedirectLateDropAfterPartition: a client↔master partition
+// makes the victim's stall watchdog retire its data connection while the
+// close itself stays parked in the fabric. The victim re-subscribes at
+// once; the server only sees the close at the heal and forwards a drop for
+// the old subscription. That late drop must not disarm the victim's live
+// subscription, and no cache may end stale.
+func TestTrackingRedirectLateDropAfterPartition(t *testing.T) {
+	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 3, Seed: 49,
+		KeySpace: 300, GetRatio: 0.8, Zipf: true, Tracking: true,
+		SKV: core.DefaultConfig()})
+	if !c.AwaitReplication(2 * sim.Second) {
+		t.Fatal("initial replication did not complete")
+	}
+	c.StartClients()
+	c.Eng.RunFor(100 * sim.Millisecond)
+	victim := c.Clients[1]
+	cut := c.Net.Machine(victim.Name()).Host
+	f := c.Net.Faults()
+	f.PartitionBoth(cut, c.MasterMachine.Host)
+	c.Eng.RunFor(700 * sim.Millisecond)
+	f.HealBoth(cut, c.MasterMachine.Host)
+	c.Eng.RunFor(100 * sim.Millisecond)
+	if got := c.NicKV.TrackingSubscribers(); got != len(c.Clients) {
+		t.Fatalf("NIC holds %d subscribers after the heal, want %d", got, len(c.Clients))
+	}
+	healed := victim.Stats()
+	if healed.Redials < 2 {
+		t.Fatalf("partition never retired the victim's connection: redials=%d", healed.Redials)
+	}
+	c.Eng.RunFor(200 * sim.Millisecond)
+	if st := victim.Stats(); st.Hits <= healed.Hits || st.Invalidations <= healed.Invalidations {
+		t.Fatalf("cache not re-armed after the heal: hits %d -> %d, invalidations %d -> %d",
+			healed.Hits, st.Hits, healed.Invalidations, st.Invalidations)
+	}
+	for _, cl := range c.Clients {
+		cl.Stop()
+	}
+	c.Eng.RunFor(100 * sim.Millisecond)
+	requireCachesCoherent(t, "redirect-late-drop", c)
+}
+
 // TestTrackingSmokeNicServedReads: with NicReads=clients the tracked GETs
 // are served by the ARM cores and the interest table + pushes never touch
 // the host at all. Clients are read-only (the NIC rejects writes); a

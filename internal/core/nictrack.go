@@ -234,3 +234,14 @@ func (n *NicKV) TrackingSubscribers() int {
 	}
 	return len(n.track.subs)
 }
+
+// SeverSubscriber simulates one tracking subscriber's push channel failing:
+// the NIC closes it (the peer sees the close) and forgets the subscriber.
+// Reports whether the subscriber was armed.
+func (n *NicKV) SeverSubscriber(name string) bool {
+	if n.track == nil || n.track.subs[name] == nil {
+		return false
+	}
+	n.track.subs[name].conn.Close()
+	return true
+}

@@ -9,6 +9,7 @@ import (
 	"skv/internal/model"
 	"skv/internal/resp"
 	"skv/internal/sim"
+	"skv/internal/slots"
 	"skv/internal/tcpsim"
 	"skv/internal/transport"
 )
@@ -117,20 +118,31 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-// TestClientClosedLoop runs a client against a scripted echo server in the
-// simulation and checks the closed-loop accounting.
-func TestClientClosedLoop(t *testing.T) {
-	eng := sim.New(9)
-	p := model.Default()
-	net := fabric.New(eng, &p)
-	srvM := net.NewMachine("srv", false)
-	cliM := net.NewMachine("cli", false)
+// echoWorld is a one-server simulated world: a scripted server replying +OK
+// to every command, and the one-group slot map clients route by.
+type echoWorld struct {
+	eng   *sim.Engine
+	p     model.Params
+	net   *fabric.Network
+	srv   *fabric.Machine
+	table *slots.Map
+	// accepted holds the server side of every connection, in accept order.
+	accepted []transport.Conn
+}
 
-	// A trivial server replying +OK to every command.
-	srvCore := sim.NewCore(eng, "srv", 1.0)
-	srvProc := sim.NewProc(eng, srvCore, p.TCPWakeup)
-	srvStack := tcpsim.New(net, srvM.Host, srvProc)
-	srvStack.Listen(6379, func(conn transport.Conn) {
+func newEchoWorld(t *testing.T, seed int64) *echoWorld {
+	t.Helper()
+	w := &echoWorld{eng: sim.New(seed), p: model.Default()}
+	w.net = fabric.New(w.eng, &w.p)
+	w.srv = w.net.NewMachine("srv", false)
+	table, err := slots.NewMap(1, nil, []string{w.srv.Host.Name()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.table = table
+	srvProc := sim.NewProc(w.eng, sim.NewCore(w.eng, "srv", 1.0), w.p.TCPWakeup)
+	tcpsim.New(w.net, w.srv.Host, srvProc).Listen(6379, func(conn transport.Conn) {
+		w.accepted = append(w.accepted, conn)
 		var r resp.Reader
 		conn.SetHandler(func(data []byte) {
 			r.Feed(data)
@@ -143,19 +155,29 @@ func TestClientClosedLoop(t *testing.T) {
 			}
 		})
 	})
+	return w
+}
 
-	gen := NewGenerator(11, 100, 32, 1.0, false)
+// client builds a client on its own machine, routing by the one-group map.
+func (w *echoWorld) client(name string, gen *Generator, opts Options) KV {
+	m := w.net.NewMachine(name, false)
 	mk := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
+		return tcpsim.New(w.net, ep, proc)
 	}
-	cl := New("c0", Env{Eng: eng, Params: &p, EP: cliM.Host, MakeStack: mk, Gen: gen,
-		Wakeup: p.ClientWakeup, Port: 6379,
-		Resolve: func(string) *fabric.Endpoint { return srvM.Host }},
-		Options{Addrs: []string{srvM.Host.Name()}})
+	return New(name, Env{Eng: w.eng, Params: &w.p, EP: m.Host, MakeStack: mk, Gen: gen,
+		Wakeup: w.p.ClientWakeup, Port: 6379, Table: w.table,
+		Resolve: func(string) *fabric.Endpoint { return w.srv.Host }}, opts)
+}
+
+// TestClientClosedLoop runs a client against a scripted echo server in the
+// simulation and checks the closed-loop accounting.
+func TestClientClosedLoop(t *testing.T) {
+	w := newEchoWorld(t, 9)
+	cl := w.client("c0", NewGenerator(11, 100, 32, 1.0, false), Options{})
 	cl.Start()
-	eng.Run(sim.Time(100 * sim.Millisecond))
+	w.eng.Run(sim.Time(100 * sim.Millisecond))
 	cl.Stop()
-	eng.Run(sim.Time(110 * sim.Millisecond))
+	w.eng.Run(sim.Time(110 * sim.Millisecond))
 
 	st := cl.Stats()
 	if st.Done < 1000 {
@@ -163,6 +185,9 @@ func TestClientClosedLoop(t *testing.T) {
 	}
 	if st.Sent != st.Done && st.Sent != st.Done+1 {
 		t.Fatalf("closed-loop accounting: sent=%d done=%d", st.Sent, st.Done)
+	}
+	if len(st.GroupDone) != 1 || st.GroupDone[0] != st.Done {
+		t.Fatalf("one-group accounting: done=%d per group %v", st.Done, st.GroupDone)
 	}
 	if cl.Histogram().Count() == 0 {
 		t.Fatal("no latencies recorded")
@@ -176,27 +201,11 @@ func TestClientClosedLoop(t *testing.T) {
 }
 
 func TestClientWarmupDiscardsSamples(t *testing.T) {
-	eng := sim.New(10)
-	p := model.Default()
-	net := fabric.New(eng, &p)
-	srvM := net.NewMachine("srv", false)
-	cliM := net.NewMachine("cli", false)
-	srvProc := sim.NewProc(eng, sim.NewCore(eng, "srv", 1.0), p.TCPWakeup)
-	srvStack := tcpsim.New(net, srvM.Host, srvProc)
-	srvStack.Listen(6379, func(conn transport.Conn) {
-		conn.SetHandler(func(data []byte) { conn.Send(resp.AppendSimple(nil, "OK")) })
-	})
-	gen := NewGenerator(11, 100, 8, 1.0, false)
-	mk := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
-	}
-	cl := New("c0", Env{Eng: eng, Params: &p, EP: cliM.Host, MakeStack: mk, Gen: gen,
-		Wakeup: p.ClientWakeup, Port: 6379,
-		Resolve: func(string) *fabric.Endpoint { return srvM.Host }},
-		Options{Addrs: []string{srvM.Host.Name()}})
+	w := newEchoWorld(t, 10)
+	cl := w.client("c0", NewGenerator(11, 100, 8, 1.0, false), Options{})
 	cl.SetWarmup(sim.Time(50 * sim.Millisecond))
 	cl.Start()
-	eng.Run(sim.Time(100 * sim.Millisecond))
+	w.eng.Run(sim.Time(100 * sim.Millisecond))
 	if cl.Histogram().Count() >= cl.Stats().Done {
 		t.Fatalf("warm-up did not discard: hist=%d done=%d", cl.Histogram().Count(), cl.Stats().Done)
 	}
@@ -206,63 +215,51 @@ func TestClientWarmupDiscardsSamples(t *testing.T) {
 }
 
 func TestClientPipelining(t *testing.T) {
-	eng := sim.New(12)
-	p := model.Default()
-	net := fabric.New(eng, &p)
-	srvM := net.NewMachine("srv", false)
-	cliM := net.NewMachine("cli", false)
-	srvProc := sim.NewProc(eng, sim.NewCore(eng, "srv", 1.0), p.TCPWakeup)
-	srvStack := tcpsim.New(net, srvM.Host, srvProc)
-	srvStack.Listen(6379, func(conn transport.Conn) {
-		var r resp.Reader
-		conn.SetHandler(func(data []byte) {
-			r.Feed(data)
-			for {
-				_, ok, err := r.ReadCommand()
-				if err != nil || !ok {
-					return
-				}
-				conn.Send(resp.AppendSimple(nil, "OK"))
-			}
-		})
-	})
-	mk := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
-	}
-	resolve := func(string) *fabric.Endpoint { return srvM.Host }
-	run := func(depth int) uint64 {
-		gen := NewGenerator(13, 100, 16, 1.0, false)
-		cl := New("p", Env{Eng: eng, Params: &p, EP: cliM.Host, MakeStack: mk, Gen: gen,
-			Wakeup: p.ClientWakeup, Port: 6379, Resolve: resolve},
-			Options{Addrs: []string{srvM.Host.Name()}, Pipeline: depth})
+	w := newEchoWorld(t, 12)
+	run := func(name string, seed int64, depth int) KV {
+		cl := w.client(name, NewGenerator(seed, 100, 16, 1.0, false), Options{Pipeline: depth})
 		cl.Start()
-		start := eng.Now()
-		eng.Run(start.Add(50 * sim.Millisecond))
+		w.eng.Run(w.eng.Now().Add(50 * sim.Millisecond))
 		cl.Stop()
-		eng.Run(eng.Now().Add(10 * sim.Millisecond))
-		return cl.Stats().Done
+		w.eng.Run(w.eng.Now().Add(10 * sim.Millisecond))
+		return cl
 	}
-	// Separate machines per run would be cleaner but one sequential reuse
-	// is fine: measure depth-1 then depth-8 on fresh clients.
-	d1 := run(1)
-	cliM2 := net.NewMachine("cli2", false)
-	mk2 := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
-	}
-	gen := NewGenerator(14, 100, 16, 1.0, false)
-	cl := New("p8", Env{Eng: eng, Params: &p, EP: cliM2.Host, MakeStack: mk2, Gen: gen,
-		Wakeup: p.ClientWakeup, Port: 6379, Resolve: resolve},
-		Options{Addrs: []string{srvM.Host.Name()}, Pipeline: 8})
-	cl.Start()
-	start := eng.Now()
-	eng.Run(start.Add(50 * sim.Millisecond))
-	cl.Stop()
-	eng.Run(eng.Now().Add(10 * sim.Millisecond))
+	d1 := run("p", 13, 1).Stats().Done
+	cl := run("p8", 14, 8)
 	d8 := cl.Stats().Done
 	if d8 <= d1 {
 		t.Fatalf("pipelining did not help: depth1=%d depth8=%d", d1, d8)
 	}
 	if cl.Histogram().Count() == 0 {
 		t.Fatal("no latencies recorded under pipelining")
+	}
+}
+
+// TestClientRedialsAfterServerClose: the server drops the connection
+// mid-run; the client must re-route its in-flight requests over a fresh
+// dial and keep completing instead of stalling.
+func TestClientRedialsAfterServerClose(t *testing.T) {
+	w := newEchoWorld(t, 15)
+	cl := w.client("c0", NewGenerator(16, 100, 16, 1.0, false), Options{Pipeline: 4})
+	cl.Start()
+	w.eng.Run(sim.Time(30 * sim.Millisecond))
+	if len(w.accepted) != 1 {
+		t.Fatalf("%d connections before the close, want 1", len(w.accepted))
+	}
+	w.accepted[0].Close()
+	atClose := cl.Stats().Done
+	if atClose == 0 {
+		t.Fatal("no completions before the close")
+	}
+	w.eng.Run(sim.Time(100 * sim.Millisecond))
+	st := cl.Stats()
+	if len(w.accepted) != 2 || st.Redials != 2 {
+		t.Fatalf("client did not redial once: accepted=%d redials=%d", len(w.accepted), st.Redials)
+	}
+	if st.Done < atClose+1000 {
+		t.Fatalf("completions did not resume: %d at the close, %d at the end", atClose, st.Done)
+	}
+	if st.ErrReplies != 0 {
+		t.Fatalf("unexpected error replies: %d", st.ErrReplies)
 	}
 }
