@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-smoke clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke clean
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# Fails when any Go file is not gofmt-formatted (gofmt -l lists them).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -31,7 +35,7 @@ race:
 	$(GO) test -race -timeout 60m ./...
 
 # Full pre-merge gate: everything CI runs.
-verify: build test vet lint race
+verify: fmt build test vet lint race
 
 # Regenerate the paper-figure experiments (virtual-time, deterministic).
 bench:

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"skv/internal/cluster"
 )
@@ -35,7 +36,7 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Printf("%d scenario(s) failed to converge\n", failed)
-		return
+		os.Exit(1)
 	}
 	fmt.Println("all scenarios converged")
 }

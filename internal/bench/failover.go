@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"skv/internal/cluster"
-	"skv/internal/core"
 	"skv/internal/metrics"
 	"skv/internal/model"
 	"skv/internal/sim"
@@ -25,35 +24,31 @@ func ExtFailover() *Experiment {
 			"detection latency is bounded by waiting-time + one probe period (paper: probe 1s, waiting-time 2s)",
 		},
 	}
-	cfg := core.DefaultConfig()
-	cfg.ProgressInterval = 50 * sim.Millisecond
 	crashAfter := 1500 * sim.Millisecond
 	restartAfter := 8 * sim.Second
 	horizon := 14 * sim.Second
-	var p *model.Params
+	p := model.Default()
 	if smoke {
 		crashAfter, restartAfter, horizon = 500*sim.Millisecond, 2*sim.Second, 4*sim.Second
-		pp := model.Default()
-		pp.ProbePeriod = 100 * sim.Millisecond
-		pp.WaitingTime = 300 * sim.Millisecond
-		p = &pp
+		p.ProbePeriod = 100 * sim.Millisecond
+		p.WaitingTime = 300 * sim.Millisecond
 	}
-	c := cluster.Build(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 4, Seed: 53, Params: p, SKV: cfg})
-	if !c.AwaitReplication(5 * sim.Second) {
-		panic("ext-failover: replication never converged")
+	var crashAt sim.Time
+	c, _, err := cluster.RunScenario(cluster.Scenario{
+		Name:   "ext-failover",
+		Config: cluster.Config{Slaves: 3, Clients: 4, Seed: 53, Params: &p},
+		Script: func(h *cluster.Chaos) {
+			crashAt = h.C.Eng.Now().Add(crashAfter)
+			h.CrashMaster(crashAfter)
+			h.RestartMaster(restartAfter)
+		},
+		RunFor: horizon,
+		Settle: 2 * sim.Second,
+	})
+	if err != nil {
+		panic(err)
 	}
-	h := cluster.NewChaos(c)
-	c.StartClients()
-	base := c.Eng.Now()
-	h.CrashMaster(crashAfter)
-	h.RestartMaster(restartAfter)
-	c.Eng.Run(base.Add(horizon))
-	for _, cl := range c.Clients {
-		cl.Stop()
-	}
-	c.Eng.RunFor(2 * sim.Second)
 
-	crashAt := base.Add(crashAfter)
 	tl := c.NicKV.Timeline()
 	row := func(typ metrics.EventType) {
 		ev, ok := tl.FirstAfter(typ, crashAt)

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"skv/internal/consistency"
-	"skv/internal/core"
 	"skv/internal/resp"
 	"skv/internal/server"
 	"skv/internal/sim"
@@ -134,33 +133,33 @@ func RunAckLossProbe(level consistency.Level, w int, seed int64) (*AckLossResult
 	p := ChaosParams(0)
 	p.ReplBatchMaxCmds = aklBatchCmds
 	p.ReplBatchMaxDelay = aklBatchDelay
-	c := Build(Config{
-		Kind:        KindSKV,
-		Slaves:      aklSlaves,
-		Clients:     1,
-		Seed:        seed,
-		Params:      p,
-		SKV:         core.Config{ProgressInterval: 50 * sim.Millisecond},
-		Consistency: ConsistencyOpts{Level: level, Quorum: w},
+	var ledger *ackLedger
+	c, h, err := run(Scenario{
+		Name: "ackloss",
+		// No workload clients: the ledger is the probe's only load.
+		Config: Config{
+			Slaves:      aklSlaves,
+			Seed:        seed,
+			Params:      p,
+			Consistency: ConsistencyOpts{Level: level, Quorum: w},
+		},
+		Script: func(h *Chaos) {
+			ledger = newAckLedger(h.C, h.C.MasterMachine.Host.Name(), aklLedgerKeys)
+			ledger.start()
+			// Stop the ledger in the same instant the master dies: anything
+			// without a recorded reply by then does not count as
+			// acknowledged.
+			h.At(aklCrashAt, "crash master", func(c *Cluster) {
+				ledger.stop()
+				c.Master.Crash()
+			})
+		},
+		RunFor: aklRunFor,
+		Settle: aklSettle,
 	})
-	if !c.AwaitReplication(2 * sim.Second) {
-		return nil, fmt.Errorf("ackloss: initial replication did not complete")
+	if err != nil {
+		return nil, err
 	}
-	h := NewChaos(c)
-	h.Note("replication ready")
-
-	ledger := newAckLedger(c, c.MasterMachine.Host.Name(), aklLedgerKeys)
-	ledger.start()
-	// Stop the ledger in the same instant the master dies: anything without
-	// a recorded reply by then does not count as acknowledged.
-	h.At(aklCrashAt, "crash master", func(c *Cluster) {
-		ledger.stop()
-		c.Master.Crash()
-	})
-	c.Eng.RunFor(aklRunFor)
-	h.Note("load stopped")
-	c.Eng.RunFor(aklSettle)
-	h.Note("settled")
 
 	res := &AckLossResult{C: c, H: h, WritesAcked: ledger.WritesAcked}
 	if ledger.Errs > 0 {

@@ -13,6 +13,7 @@ import (
 // lost acked write, or the quorum experiment has nothing to fix and the
 // headline comparison is vacuous.
 func TestAckLossAsyncLosesAckedWrites(t *testing.T) {
+	t.Parallel()
 	res, err := RunAckLossProbe(consistency.Async, 0, 7)
 	if err != nil {
 		t.Fatalf("probe harness failed: %v\ntrace:\n%s", err, res.H.TraceString())
@@ -32,6 +33,7 @@ func TestAckLossAsyncLosesAckedWrites(t *testing.T) {
 // two slaves hold them, and the NIC promotes the max-offset survivor. Every
 // acknowledged write must be on the promoted master.
 func TestAckLossQuorumLosesNothing(t *testing.T) {
+	t.Parallel()
 	res, err := RunAckLossProbe(consistency.Quorum, 2, 7)
 	if err != nil {
 		t.Fatalf("probe harness failed: %v\ntrace:\n%s", err, res.H.TraceString())
@@ -49,6 +51,7 @@ func TestAckLossQuorumLosesNothing(t *testing.T) {
 // must hold a write before its reply fires, so the audit is clean no matter
 // which survivor the NIC promotes.
 func TestAckLossAllLosesNothing(t *testing.T) {
+	t.Parallel()
 	res, err := RunAckLossProbe(consistency.All, 0, 7)
 	if err != nil {
 		t.Fatalf("probe harness failed: %v\ntrace:\n%s", err, res.H.TraceString())
@@ -62,6 +65,7 @@ func TestAckLossAllLosesNothing(t *testing.T) {
 // byte-identical traces and metrics — the probe is a chaos scenario and
 // inherits the harness's determinism contract.
 func TestAckLossDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		name  string
 		level consistency.Level

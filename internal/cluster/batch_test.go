@@ -23,6 +23,7 @@ func batchParams(batch int) *model.Params {
 // final keyspaces — master and every slave — to be logically identical.
 // Batching may change when bytes travel, never what they say.
 func TestSKVKeyspaceIdenticalAcrossBatchSizes(t *testing.T) {
+	t.Parallel()
 	var ref map[string]string
 	for _, batch := range []int{1, 4, 64} {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
@@ -66,6 +67,7 @@ func TestSKVKeyspaceIdenticalAcrossBatchSizes(t *testing.T) {
 // still reaches Nic-KV (CmdsOffloaded accounts for all of them) and
 // throughput does not regress against the unbatched run.
 func TestSKVBatchingAmortizesWRs(t *testing.T) {
+	t.Parallel()
 	run := func(batch int) (*Cluster, Result) {
 		c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 4, Seed: 91,
 			Pipeline: 8, Params: batchParams(batch), SKV: core.DefaultConfig()})
@@ -119,6 +121,7 @@ func TestSKVBatchingAmortizesWRs(t *testing.T) {
 // every batch size, because partial batches flush on event-loop quiesce
 // (WAIT never deadlocks on bytes parked in a pending batch).
 func TestWaitCommandAcrossBatchSizes(t *testing.T) {
+	t.Parallel()
 	for _, batch := range []int{1, 4, 64} {
 		cfg := core.DefaultConfig()
 		cfg.ProgressInterval = 50 * sim.Millisecond
@@ -165,11 +168,12 @@ func TestWaitCommandAcrossBatchSizes(t *testing.T) {
 // keyspaces), and a repeated batched run must reproduce its trace exactly —
 // batching must not break the determinism contract.
 func TestChaosScenariosBatched(t *testing.T) {
+	t.Parallel()
 	for _, batch := range []int{4, 64} {
 		for _, s := range ChaosScenarios() {
 			s := s
 			batch := batch
-			s.Tune = func(p *model.Params) { p.ReplBatchMaxCmds = batch }
+			params(&s).ReplBatchMaxCmds = batch
 			t.Run(fmt.Sprintf("%s/batch%d", s.Name, batch), func(t *testing.T) {
 				c, h, err := RunScenario(s)
 				if err != nil {

@@ -1,17 +1,18 @@
 // Chaos harness: scripted failure scenarios driven through the fabric fault
 // plane (internal/fabric: partitions, loss, flapping endpoints) and the
 // process crash/restart helpers below, with a deterministic timestamped
-// trace. Every scenario ends with CheckConvergence, which asserts the SKV
-// invariants §III-D is supposed to restore after any failure: exactly one
-// master, no leftover promotion, every alive slave valid, synced, and at the
-// master's replication offset.
+// trace. Every fault harness — the canned scenarios, per-slot failover, the
+// ack-loss probe and live resharding — runs through one Scenario lifecycle
+// and applies its own oracle to the result. The canned scenarios end with
+// CheckConvergence, which asserts the SKV invariants §III-D is supposed to
+// restore after any failure: exactly one master, no leftover promotion,
+// every alive slave valid, synced, and at the master's replication offset.
 package cluster
 
 import (
 	"fmt"
 	"strings"
 
-	"skv/internal/core"
 	"skv/internal/model"
 	"skv/internal/server"
 	"skv/internal/sim"
@@ -38,6 +39,9 @@ type Chaos struct {
 	C     *Cluster
 	Trace []TraceEntry
 	base  sim.Time
+	// loadStops run when the scenario's load stops, before the workload
+	// clients stop.
+	loadStops []func()
 }
 
 // NewChaos wraps a built cluster for scenario scripting.
@@ -58,6 +62,11 @@ func (h *Chaos) At(d sim.Duration, label string, do func(c *Cluster)) {
 	})
 }
 
+// OnLoadStop registers f to run when the scenario stops its load, together
+// with (and just before) the workload clients: the hook for extra load or
+// samplers a script starts, which must not outlive the load window.
+func (h *Chaos) OnLoadStop(f func()) { h.loadStops = append(h.loadStops, f) }
+
 // TraceString renders the whole trace, one entry per line.
 func (h *Chaos) TraceString() string {
 	var b strings.Builder
@@ -72,39 +81,38 @@ func (h *Chaos) TraceString() string {
 // master validity, promotion, valid-slave count, failover/restore counters,
 // roles (M=master role, s=slave role, x=crashed), and offsets. Multi-master
 // deployments render one such block per group (g0{...} g1{...}) plus the
-// slot map's epoch and current owner addresses; the single-master format is
-// unchanged (chaos traces are a determinism oracle across refactors).
+// slot map's epoch and current owner addresses; a single group renders its
+// block bare (chaos traces are a determinism oracle across refactors).
 func (h *Chaos) snapshot() string {
 	c := h.C
-	if len(c.Groups) > 0 {
-		var b strings.Builder
-		for gi, g := range c.Groups {
-			if gi > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "g%d{%s}", gi, groupSnapshot(g.Master, g.Slaves, g.SlaveAgents, g.NicKV))
-		}
-		fmt.Fprintf(&b, " ep=%d owners=[", c.SlotMap.Epoch())
-		for gi := 0; gi < c.SlotMap.Groups(); gi++ {
-			if gi > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(c.SlotMap.Addr(gi))
-		}
-		b.WriteByte(']')
-		return b.String()
+	if c.SlotMap == nil {
+		return c.Groups[0].snapshot()
 	}
-	return groupSnapshot(c.Master, c.Slaves, c.SlaveAgents, c.NicKV)
+	var b strings.Builder
+	for gi, g := range c.Groups {
+		if gi > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "g%d{%s}", gi, g.snapshot())
+	}
+	fmt.Fprintf(&b, " ep=%d owners=[", c.SlotMap.Epoch())
+	for gi := 0; gi < c.SlotMap.Groups(); gi++ {
+		if gi > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(c.SlotMap.Addr(gi))
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
-// groupSnapshot renders one replication group's state (the legacy whole-
-// cluster snapshot format).
-func groupSnapshot(master *server.Server, slaves []*server.Server, agents []*core.SlaveAgent, nickv *core.NicKV) string {
+// snapshot renders one replication group's state.
+func (g *Group) snapshot() string {
 	var b strings.Builder
-	if nickv != nil {
+	if g.NicKV != nil {
 		fmt.Fprintf(&b, "mv=%t prom=%q vs=%d fo=%d rst=%d ",
-			nickv.MasterValid(), nickv.PromotedID(), nickv.ValidSlaves(),
-			nickv.Failovers, nickv.MasterRestores)
+			g.NicKV.MasterValid(), g.NicKV.PromotedID(), g.NicKV.ValidSlaves(),
+			g.NicKV.Failovers, g.NicKV.MasterRestores)
 	}
 	role := func(s *server.Server) byte {
 		if !s.Alive() {
@@ -115,14 +123,14 @@ func groupSnapshot(master *server.Server, slaves []*server.Server, agents []*cor
 		}
 		return 's'
 	}
-	roles := []byte{role(master)}
-	for _, s := range slaves {
+	roles := []byte{role(g.Master)}
+	for _, s := range g.Slaves {
 		roles = append(roles, role(s))
 	}
-	fmt.Fprintf(&b, "roles=%s moff=%d", roles, master.ReplOffset())
-	if len(agents) > 0 {
+	fmt.Fprintf(&b, "roles=%s moff=%d", roles, g.Master.ReplOffset())
+	if len(g.SlaveAgents) > 0 {
 		b.WriteString(" offs=[")
-		for i, a := range agents {
+		for i, a := range g.SlaveAgents {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
@@ -217,15 +225,14 @@ func (c *Cluster) RestartMaster() {
 // group independently, prefixing violations with the group (g0: ...).
 func (c *Cluster) CheckConvergence() error {
 	var errs []string
-	if len(c.Groups) > 0 {
-		for gi, g := range c.Groups {
-			prefix := fmt.Sprintf("g%d: ", gi)
-			for _, e := range checkGroupConvergence(g.Master, g.Slaves, g.SlaveAgents, g.NicKV) {
-				errs = append(errs, prefix+e)
-			}
+	for gi, g := range c.Groups {
+		prefix := ""
+		if len(c.Groups) > 1 {
+			prefix = fmt.Sprintf("g%d: ", gi)
 		}
-	} else {
-		errs = checkGroupConvergence(c.Master, c.Slaves, c.SlaveAgents, c.NicKV)
+		for _, e := range g.convergence() {
+			errs = append(errs, prefix+e)
+		}
 	}
 	if len(errs) == 0 {
 		return nil
@@ -233,18 +240,18 @@ func (c *Cluster) CheckConvergence() error {
 	return fmt.Errorf("not converged: %s", strings.Join(errs, "; "))
 }
 
-// checkGroupConvergence verifies one replication group's §III-D invariants:
+// convergence lists the group's violations of the §III-D invariants:
 // exactly one master, no leftover promotion, every alive slave valid,
 // synced, at the master's offset, and holding the master's keyspace.
-func checkGroupConvergence(master *server.Server, slaves []*server.Server, agents []*core.SlaveAgent, nickv *core.NicKV) []string {
+func (g *Group) convergence() []string {
 	var errs []string
 	add := func(format string, a ...any) { errs = append(errs, fmt.Sprintf(format, a...)) }
 
 	masters := 0
-	if master.Alive() && master.Role() == server.RoleMaster {
+	if g.Master.Alive() && g.Master.Role() == server.RoleMaster {
 		masters++
 	}
-	for i, s := range slaves {
+	for i, s := range g.Slaves {
 		if s.Alive() && s.Role() == server.RoleMaster {
 			masters++
 			add("slave%d is still in the master role", i)
@@ -254,7 +261,7 @@ func checkGroupConvergence(master *server.Server, slaves []*server.Server, agent
 		add("%d alive masters, want exactly 1", masters)
 	}
 
-	if nickv != nil {
+	if nickv := g.NicKV; nickv != nil {
 		if !nickv.MasterValid() {
 			add("Nic-KV considers the master invalid")
 		}
@@ -262,7 +269,7 @@ func checkGroupConvergence(master *server.Server, slaves []*server.Server, agent
 			add("Nic-KV still has %q promoted", p)
 		}
 		alive := 0
-		for _, s := range slaves {
+		for _, s := range g.Slaves {
 			if s.Alive() {
 				alive++
 			}
@@ -272,9 +279,9 @@ func checkGroupConvergence(master *server.Server, slaves []*server.Server, agent
 		}
 	}
 
-	off := master.ReplOffset()
-	for i, a := range agents {
-		if !slaves[i].Alive() {
+	off := g.Master.ReplOffset()
+	for i, a := range g.SlaveAgents {
+		if !g.Slaves[i].Alive() {
 			continue
 		}
 		if !a.Synced() {
@@ -286,8 +293,8 @@ func checkGroupConvergence(master *server.Server, slaves []*server.Server, agent
 		}
 	}
 
-	want := master.Store().DBSize(0)
-	for i, s := range slaves {
+	want := g.Master.Store().DBSize(0)
+	for i, s := range g.Slaves {
 		if !s.Alive() {
 			continue
 		}
@@ -300,45 +307,29 @@ func checkGroupConvergence(master *server.Server, slaves []*server.Server, agent
 
 // ---- scenarios ----------------------------------------------------------
 
-// Scenario is one scripted failure sequence over a fresh SKV cluster.
+// Scenario is one scripted failure sequence over a fresh SKV deployment.
+// The embedded Config shapes the deployment and its load; the runner always
+// builds it as KindSKV with a 50ms Nic-KV progress interval. Params nil
+// means ChaosParams(0); Clients 0 starts no workload clients (the script
+// drives its own load).
 type Scenario struct {
-	Name    string
-	Slaves  int
-	Clients int
-	Seed    int64
-	// Masters/SlavesPerMaster build a multi-master deployment (see
-	// Config.Masters); zero values keep the legacy single-master topology.
-	Masters         int
-	SlavesPerMaster int
-	// Retry is the RC/TCP retransmission-timeout budget before a connection
-	// errors out. 0 means 10s: links park traffic but never die (pure
-	// probe-timeout scenarios). Short values force connection teardown and
-	// re-establishment (flap scenarios).
-	Retry  sim.Duration
+	Name string
+	Config
+	// Script schedules the scenario's faults (and any extra load) on the
+	// Chaos once initial replication completed and the clients started.
 	Script func(h *Chaos)
-	// RunFor is the scripted horizon under client load; Settle is the quiet
-	// period after load stops, before the convergence check.
+	// RunFor is the scripted horizon under load; Settle is the quiet period
+	// after the load stops.
 	RunFor sim.Duration
 	Settle sim.Duration
-	// Tune, when non-nil, adjusts the model parameters after the chaos
-	// profile is applied and before the cluster is built — the one hook for
-	// running a scenario batched, sharded, or with any future knob, so new
-	// knobs don't keep growing this struct.
-	Tune func(*model.Params)
-	// NicReads enables the NIC read path for the scenario (topology, not a
-	// model parameter — see cluster.NicReadMode).
-	NicReads NicReadMode
-	// Tracking arms CLIENT TRACKING on the workload clients (Config.
-	// Tracking); GetRatio shapes the load (Config.GetRatio — tracking
-	// scenarios need reads to populate the caches). Zero values keep the
-	// legacy pure-SET untracked load bit-for-bit.
-	Tracking bool
-	GetRatio float64
 }
 
 // ChaosParams compresses the failure-detection timescales (probe every
 // 100ms, waiting-time 200ms — the cluster tests' fast profile) and installs
-// the scenario's retry budget.
+// the scenario's RC/TCP retransmission-timeout budget before a connection
+// errors out. retry 0 means 10s: links park traffic but never die (pure
+// probe-timeout scenarios). Short values force connection teardown and
+// re-establishment (flap scenarios).
 func ChaosParams(retry sim.Duration) *model.Params {
 	p := model.Default()
 	p.ProbePeriod = 100 * sim.Millisecond
@@ -351,43 +342,50 @@ func ChaosParams(retry sim.Duration) *model.Params {
 	return &p
 }
 
-// RunScenario builds a fresh SKV cluster for the scenario, waits for
-// initial replication, starts client load, runs the script, stops the load,
-// settles, and checks convergence. The returned Chaos holds the trace.
+// RunScenario runs the scenario and checks convergence. The returned Chaos
+// holds the trace (nil when initial replication never completed).
 func RunScenario(s Scenario) (*Cluster, *Chaos, error) {
-	p := ChaosParams(s.Retry)
-	if s.Tune != nil {
-		s.Tune(p)
+	c, h, err := run(s)
+	if err != nil {
+		return c, h, err
 	}
-	c := Build(Config{
-		Kind:     KindSKV,
-		Slaves:   s.Slaves,
-		Clients:  s.Clients,
-		Seed:     s.Seed,
-		Params:   p,
-		SKV:      core.Config{ProgressInterval: 50 * sim.Millisecond},
-		NicReads: s.NicReads,
-		Cluster:  ClusterOpts{Masters: s.Masters, SlavesPerMaster: s.SlavesPerMaster},
-		Tracking: s.Tracking,
-		GetRatio: s.GetRatio,
-	})
+	return c, h, c.CheckConvergence()
+}
+
+// run is the one scenario lifecycle: build a fresh cluster, wait for
+// initial replication, start the client load, run the script for RunFor,
+// stop the load, and settle. Each harness applies its own oracle to the
+// result.
+func run(s Scenario) (*Cluster, *Chaos, error) {
+	cfg := s.Config
+	cfg.Kind = KindSKV
+	if cfg.Params == nil {
+		cfg.Params = ChaosParams(0)
+	}
+	cfg.SKV.ProgressInterval = 50 * sim.Millisecond
+	c := Build(cfg)
 	if !c.AwaitReplication(2 * sim.Second) {
 		return c, nil, fmt.Errorf("%s: initial replication did not complete", s.Name)
 	}
 	h := NewChaos(c)
 	h.Note("replication ready")
-	c.StartClients()
+	if s.Clients > 0 {
+		c.StartClients()
+	}
 	if s.Script != nil {
 		s.Script(h)
 	}
 	c.Eng.RunFor(s.RunFor)
+	for _, f := range h.loadStops {
+		f()
+	}
 	for _, cl := range c.Clients {
 		cl.Stop()
 	}
 	h.Note("load stopped")
 	c.Eng.RunFor(s.Settle)
 	h.Note("settled")
-	return c, h, c.CheckConvergence()
+	return c, h, nil
 }
 
 // ChaosScenarios returns the canned failure scenarios the chaos tests (and
@@ -398,7 +396,8 @@ func ChaosScenarios() []Scenario {
 		// restart: the recovered master reappears on a new connection and
 		// the promoted slave must be demoted (the split-brain fix).
 		{
-			Name: "master-restart-split-brain", Slaves: 3, Clients: 1, Seed: 7,
+			Name:   "master-restart-split-brain",
+			Config: Config{Slaves: 3, Clients: 1, Seed: 7},
 			RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
 			Script: func(h *Chaos) {
 				h.CrashMaster(200 * sim.Millisecond)
@@ -408,7 +407,8 @@ func ChaosScenarios() []Scenario {
 		// Slave process crash → invalid flag → recovery → resync across the
 		// missed stream (Fig 14's recovered-node path).
 		{
-			Name: "slave-crash-recover", Slaves: 3, Clients: 1, Seed: 11,
+			Name:   "slave-crash-recover",
+			Config: Config{Slaves: 3, Clients: 1, Seed: 11},
 			RunFor: 2 * sim.Second, Settle: 1 * sim.Second,
 			Script: func(h *Chaos) {
 				h.CrashSlave(200*sim.Millisecond, 1)
@@ -419,8 +419,8 @@ func ChaosScenarios() []Scenario {
 		// waiting-time (→ invalid) and the retry budget (→ connections
 		// error out), so recovery exercises full re-dial + resync.
 		{
-			Name: "slave-flap-resync", Slaves: 3, Clients: 1, Seed: 13,
-			Retry:  150 * sim.Millisecond,
+			Name:   "slave-flap-resync",
+			Config: Config{Slaves: 3, Clients: 1, Seed: 13, Params: ChaosParams(150 * sim.Millisecond)},
 			RunFor: 2500 * sim.Millisecond, Settle: 2 * sim.Second,
 			Script: func(h *Chaos) {
 				h.FlapSlave(200*sim.Millisecond, 1, 400*sim.Millisecond, 600*sim.Millisecond, 2)
@@ -430,7 +430,8 @@ func ChaosScenarios() []Scenario {
 		// survive, probes time out (invalid), the heal flushes parked
 		// traffic in order and the probe-ack revalidates the slave.
 		{
-			Name: "nic-partition-probe-timeout", Slaves: 3, Clients: 1, Seed: 17,
+			Name:   "nic-partition-probe-timeout",
+			Config: Config{Slaves: 3, Clients: 1, Seed: 17},
 			RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
 			Script: func(h *Chaos) {
 				h.PartitionNicSlave(300*sim.Millisecond, 2)
@@ -441,7 +442,8 @@ func ChaosScenarios() []Scenario {
 		// failure detector must NOT trip (no failovers), and replication
 		// still converges.
 		{
-			Name: "lossy-links-under-load", Slaves: 3, Clients: 1, Seed: 23,
+			Name:   "lossy-links-under-load",
+			Config: Config{Slaves: 3, Clients: 1, Seed: 23},
 			RunFor: 1500 * sim.Millisecond, Settle: 1 * sim.Second,
 			Script: func(h *Chaos) {
 				h.At(100*sim.Millisecond, "loss 5% on slave links", func(c *Cluster) {

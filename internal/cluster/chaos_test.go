@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"skv/internal/core"
+	"skv/internal/model"
 	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
@@ -15,6 +16,7 @@ import (
 // run must produce a byte-identical trace — the harness's determinism
 // contract (same seed → same event sequence).
 func TestChaosScenarios(t *testing.T) {
+	t.Parallel()
 	for _, s := range ChaosScenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -43,6 +45,15 @@ func TestChaosScenarios(t *testing.T) {
 			}
 		})
 	}
+}
+
+// params returns the scenario's model parameters for in-place tuning,
+// materializing the runner's ChaosParams(0) default when none are set.
+func params(s *Scenario) *model.Params {
+	if s.Params == nil {
+		s.Params = ChaosParams(0)
+	}
+	return s.Params
 }
 
 // checkScenarioExpectations asserts the failure path each scenario is meant
@@ -112,6 +123,7 @@ func checkScenarioExpectations(t *testing.T, name string, c *Cluster, h *Chaos) 
 // then declared invalid must still resolve at its timeout, reporting the
 // post-failure acknowledged count instead of hanging forever.
 func TestWaitResolvesAfterSlaveFailure(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ProgressInterval = 50 * sim.Millisecond
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 1, Seed: 41,

@@ -7,9 +7,10 @@
 //   - KindSKV: SKV — Host-KV + Nic-KV with replication and failure
 //     detection offloaded to the SmartNIC.
 //
-// A cluster is one master (with a SmartNIC for SKV), N slave machines, and
-// M closed-loop client machines, all on a 100Gb fabric, plus the measuring
-// equipment (latency histograms, throughput series).
+// A cluster is one or more replication groups — each a master (with a
+// SmartNIC for SKV) and its slave machines — plus M closed-loop client
+// machines, all on a 100Gb fabric, and the measuring equipment (latency
+// histograms, throughput series). The paper's deployment is one group.
 package cluster
 
 import (
@@ -79,7 +80,7 @@ type Config struct {
 	Pipeline int
 
 	// Cluster groups the horizontal-scale knobs (multi-master hash-slot
-	// deployments). The zero value builds the legacy single-master topology.
+	// deployments). The zero value builds one replication group.
 	Cluster ClusterOpts
 
 	// SKV-specific knobs. SKV.ServeReadsFromNIC is derived from NicReads by
@@ -112,7 +113,8 @@ type ClusterOpts struct {
 	// Masters scales the deployment out into a hash-slot cluster of that
 	// many replication groups, each a full SKV unit (master host + SmartNIC
 	// + its own slaves) owning a contiguous share of the 16384 slots.
-	// 0 or 1 builds the legacy single-master deployment bit-for-bit.
+	// 0 or 1 builds a single group with no slot plane (no slot map, no
+	// server-side slot checks).
 	Masters int
 	// SlavesPerMaster is each group's slave count when Masters > 1 (the
 	// multi-master replacement for Slaves, which then must stay 0).
@@ -263,49 +265,53 @@ func (cfg Config) zipfS() float64 {
 	return workload.DefaultZipfS
 }
 
-// Group is one replication group of a multi-master deployment: a complete
-// SKV unit (master host + SmartNIC offload + slaves) owning a share of the
-// hash-slot space.
+// Group is one replication group: a master host (with its SmartNIC offload
+// on SKV) and its slaves. In a multi-master deployment each group owns a
+// share of the hash-slot space.
 type Group struct {
 	Index int
-
-	Master      *server.Server
-	Slaves      []*server.Server
-	SlaveAgents []*core.SlaveAgent
-	HostKV      *core.HostKV
-	NicKV       *core.NicKV
-
-	MasterMachine *fabric.Machine
-	SlaveMachines []*fabric.Machine
-}
-
-// Cluster is a built deployment.
-type Cluster struct {
-	Cfg    Config
-	Eng    *sim.Engine
-	Net    *fabric.Network
-	Params *model.Params
 
 	Master      *server.Server
 	Slaves      []*server.Server
 	SlaveAgents []*core.SlaveAgent // SKV only
 	HostKV      *core.HostKV       // SKV only
 	NicKV       *core.NicKV        // SKV only
-	// Clients is the workload: slot-aware closed-loop clients, routing by
-	// a one-group map on single-master deployments and by SlotMap when
-	// Masters > 1.
-	Clients []workload.KV
+
+	MasterMachine *fabric.Machine
+	SlaveMachines []*fabric.Machine
+}
+
+// Cluster is a built deployment: one or more replication groups and the
+// workload clients.
+type Cluster struct {
+	Cfg    Config
+	Eng    *sim.Engine
+	Net    *fabric.Network
+	Params *model.Params
+
+	// Groups holds every replication group — exactly one unless
+	// Masters > 1. The fields below alias group 0 (Master, HostKV, NicKV,
+	// MasterMachine) or concatenate across groups (Slaves, SlaveAgents,
+	// SlaveMachines), so single-group code reads them directly.
+	Groups []*Group
+
+	Master      *server.Server
+	Slaves      []*server.Server
+	SlaveAgents []*core.SlaveAgent // SKV only
+	HostKV      *core.HostKV       // SKV only
+	NicKV       *core.NicKV        // SKV only
 
 	MasterMachine *fabric.Machine
 	SlaveMachines []*fabric.Machine
 
-	// Multi-master state (Masters > 1). Groups holds every replication
-	// group; the legacy fields above then alias group 0 (Master, HostKV,
-	// NicKV, MasterMachine) or the concatenation across groups (Slaves,
-	// SlaveAgents, SlaveMachines), so group-agnostic helpers keep working.
-	// SlotMap is the deployment's authoritative hash-slot table, mutated by
-	// per-group failover.
-	Groups  []*Group
+	// Clients is the workload: slot-aware closed-loop clients, routing by
+	// a one-group map over the dial target with one group and by SlotMap
+	// when Masters > 1.
+	Clients []workload.KV
+
+	// SlotMap is the multi-master deployment's authoritative hash-slot
+	// table, mutated by per-group failover and resharding; nil with one
+	// group.
 	SlotMap *slots.Map
 
 	// epByName resolves slot-map addresses (endpoint names) for the
@@ -354,7 +360,7 @@ func Build(cfg Config) *Cluster {
 		serverWakeup = p.TCPWakeup
 	}
 
-	newServer := func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) (*server.Server, transport.Stack) {
+	newServer := func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) *server.Server {
 		coreRes := sim.NewCore(eng, name+"-core", p.HostCoreSpeed)
 		proc := sim.NewProc(eng, coreRes, serverWakeup)
 		stack := makeStack(m.Host, proc)
@@ -375,70 +381,124 @@ func Build(cfg Config) *Cluster {
 		if rs, okRDMA := stack.(*rconn.Stack); okRDMA {
 			rs.Device().SetMetrics(srv.Metrics())
 		}
-		return srv, stack
+		return srv
 	}
+
+	// Group gi's machines are named g<gi>.master / g<gi>.slave<i> (plain
+	// master / slave<i> when there is one group); seeds are offset by
+	// 1000*gi so groups draw independent but reproducible randomness.
+	groups := max(cfg.Cluster.Masters, 1)
+	multi := groups > 1
+	slavesPer := cfg.Slaves
+	if multi {
+		slavesPer = cfg.Cluster.SlavesPerMaster
+	}
+	nodeName := func(gi int, node string) string {
+		if multi {
+			return fmt.Sprintf("g%d.%s", gi, node)
+		}
+		return node
+	}
+
+	// Master machines first: the slot map's addresses are their host
+	// endpoint names, and every server is born already routing against it.
+	// Host endpoints register in epByName so the clients and control
+	// processes (respPool users like the ledgers) can dial nodes by name.
+	c.epByName = make(map[string]*fabric.Endpoint)
+	masterMachines := make([]*fabric.Machine, groups)
+	addrs := make([]string, groups)
+	for gi := range masterMachines {
+		m := net.NewMachine(nodeName(gi, "master"), cfg.Kind == KindSKV)
+		masterMachines[gi] = m
+		addrs[gi] = m.Host.Name()
+		c.epByName[m.Host.Name()] = m.Host
+	}
+	if multi {
+		slotMap, err := slots.NewMap(groups, cfg.Cluster.SlotRanges, addrs)
+		if err != nil {
+			panic(fmt.Sprintf("cluster: slot map construction failed after validation: %v", err))
+		}
+		c.SlotMap = slotMap
+	}
+
+	for gi := 0; gi < groups; gi++ {
+		g := &Group{Index: gi, MasterMachine: masterMachines[gi]}
+		var route *server.ClusterRouting
+		skvCfg := cfg.SKV
+		if multi {
+			route = &server.ClusterRouting{Self: gi, Map: c.SlotMap, Port: core.ClientPort}
+			skvCfg.Group = fmt.Sprintf("g%d", gi)
+		}
+		g.Master = newServer(nodeName(gi, "master"), g.MasterMachine, cfg.Seed+100+1000*int64(gi), route)
+		masterEP := g.MasterMachine.Host
+		if cfg.Kind == KindSKV {
+			g.NicKV = core.NewNicKV(eng, net, g.MasterMachine, p, skvCfg)
+			g.HostKV = core.AttachMaster(g.Master, net, g.MasterMachine.NIC, skvCfg)
+		}
+
+		for i := 0; i < slavesPer; i++ {
+			sname := nodeName(gi, fmt.Sprintf("slave%d", i))
+			m := net.NewMachine(sname, false)
+			g.SlaveMachines = append(g.SlaveMachines, m)
+			c.epByName[m.Host.Name()] = m.Host
+			srv := newServer(sname, m, cfg.Seed+200+1000*int64(gi)+int64(i), route)
+			g.Slaves = append(g.Slaves, srv)
+			if cfg.Kind == KindSKV {
+				// SLAVEOF through the SmartNIC (§III-C).
+				g.SlaveAgents = append(g.SlaveAgents, core.AttachSlave(srv, net, g.MasterMachine.NIC, skvCfg))
+			} else {
+				eng.At(0, func() { srv.SlaveOf(masterEP, core.ClientPort) })
+			}
+			if multi {
+				// Per-slot failover: promotion moves the group's slots to
+				// this slave's address (epoch bump → clients repair on MOVED
+				// or reconnect); demotion on master recovery moves them
+				// back. This models the converged gossip state, not
+				// per-node propagation.
+				srv.OnRoleChange = func(r server.Role) {
+					addr := masterEP.Name()
+					if r == server.RoleMaster {
+						addr = m.Host.Name()
+					}
+					c.SlotMap.SetAddr(gi, addr)
+				}
+			}
+		}
+		c.Groups = append(c.Groups, g)
+		c.Slaves = append(c.Slaves, g.Slaves...)
+		c.SlaveAgents = append(c.SlaveAgents, g.SlaveAgents...)
+		c.SlaveMachines = append(c.SlaveMachines, g.SlaveMachines...)
+	}
+	g0 := c.Groups[0]
+	c.Master, c.HostKV, c.NicKV, c.MasterMachine = g0.Master, g0.HostKV, g0.NicKV, g0.MasterMachine
 
 	env := workload.Env{
 		Eng: eng, Params: p, MakeStack: makeStack, Wakeup: p.ClientWakeup,
-		Port: core.ClientPort, Resolve: c.resolveEP,
+		Port: core.ClientPort, Resolve: c.resolveEP, Table: c.SlotMap,
 	}
-	if cfg.Cluster.Masters > 1 {
-		c.buildMulti(newServer, env)
-		return c
-	}
-
-	// Master (with SmartNIC when SKV). Host endpoints register in epByName
-	// so control processes (respPool users like the ack-loss ledger) can dial
-	// nodes by name on the legacy topology too.
-	c.epByName = make(map[string]*fabric.Endpoint)
-	c.MasterMachine = net.NewMachine("master", cfg.Kind == KindSKV)
-	c.epByName[c.MasterMachine.Host.Name()] = c.MasterMachine.Host
-	c.Master, _ = newServer("master", c.MasterMachine, cfg.Seed+100, nil)
-
-	if cfg.Kind == KindSKV {
-		c.NicKV = core.NewNicKV(eng, net, c.MasterMachine, p, cfg.SKV)
-		c.HostKV = core.AttachMaster(c.Master, net, c.MasterMachine.NIC, cfg.SKV)
-	}
-
-	// Slaves.
-	for i := 0; i < cfg.Slaves; i++ {
-		m := net.NewMachine(fmt.Sprintf("slave%d", i), false)
-		c.SlaveMachines = append(c.SlaveMachines, m)
-		c.epByName[m.Host.Name()] = m.Host
-		srv, _ := newServer(fmt.Sprintf("slave%d", i), m, cfg.Seed+200+int64(i), nil)
-		c.Slaves = append(c.Slaves, srv)
-		if cfg.Kind == KindSKV {
-			// SLAVEOF through the SmartNIC (§III-C). Delay one tick so the
-			// NIC listener exists before the first request.
-			agent := core.AttachSlave(srv, net, c.MasterMachine.NIC, cfg.SKV)
-			c.SlaveAgents = append(c.SlaveAgents, agent)
-		} else {
-			target := c.MasterMachine.Host
-			srvRef := srv
-			eng.At(0, func() { srvRef.SlaveOf(target, core.ClientPort) })
+	if !multi {
+		// One group: the clients route by a one-group slot map over the
+		// dial target, fixed at build time — the master host, or the
+		// SmartNIC endpoint when the workload exercises NIC-served reads.
+		// The map is the clients' alone (c.SlotMap stays nil) and does not
+		// follow promotion: a promoted slave's writes are not merged back
+		// when it is demoted.
+		target := g0.MasterMachine.Host
+		if cfg.NicReads == NicReadsClients {
+			target = g0.MasterMachine.NIC
+			c.epByName[target.Name()] = target
 		}
-	}
-
-	// The clients route by a one-group slot map over the dial target, fixed
-	// at build time: the master host, or the SmartNIC endpoint when the
-	// workload exercises NIC-served reads. The map is the clients' alone
-	// (c.SlotMap stays nil) and does not follow promotion: a promoted
-	// slave's writes are not merged back when it is demoted.
-	target := c.MasterMachine.Host
-	if cfg.NicReads == NicReadsClients {
-		target = c.MasterMachine.NIC
-		c.epByName[target.Name()] = target
-	}
-	table, err := slots.NewMap(1, nil, []string{target.Name()})
-	if err != nil {
-		panic(fmt.Sprintf("cluster: one-group slot map: %v", err))
-	}
-	env.Table = table
-	if cfg.Kind == KindSKV && cfg.Tracking && cfg.NicReads != NicReadsClients {
-		// Redirect mode: the server forwards tracked interest to its NIC
-		// and the NIC pushes invalidations out-of-band to the subscriber.
-		env.Invalidation = c.MasterMachine.NIC
-		env.InvalidationPort = core.NicPort
+		table, err := slots.NewMap(1, nil, []string{target.Name()})
+		if err != nil {
+			panic(fmt.Sprintf("cluster: one-group slot map: %v", err))
+		}
+		env.Table = table
+		if cfg.Kind == KindSKV && cfg.Tracking && cfg.NicReads != NicReadsClients {
+			// Redirect mode: the server forwards tracked interest to its NIC
+			// and the NIC pushes invalidations out-of-band to the subscriber.
+			env.Invalidation = g0.MasterMachine.NIC
+			env.InvalidationPort = core.NicPort
+		}
 	}
 	c.addClients(env)
 	return c
@@ -467,91 +527,6 @@ func (c *Cluster) resolveEP(addr string) *fabric.Endpoint {
 		panic(fmt.Sprintf("cluster: address %q resolves to no endpoint", addr))
 	}
 	return ep
-}
-
-// buildMulti assembles the hash-slot deployment: Masters replication
-// groups, one shared epoch-versioned slot map every server routes against,
-// and clients routing by that map. Group gi's machines are named
-// g<gi>.master / g<gi>.slave<i>; seeds are offset by 1000*gi so groups draw
-// independent but reproducible randomness.
-func (c *Cluster) buildMulti(
-	newServer func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) (*server.Server, transport.Stack),
-	env workload.Env,
-) {
-	cfg := c.Cfg
-	p := c.Params
-	eng := c.Eng
-	net := c.Net
-	c.epByName = make(map[string]*fabric.Endpoint)
-
-	// Master machines first: the slot map's addresses are their host
-	// endpoint names, and every server is born already routing against it.
-	masterMachines := make([]*fabric.Machine, cfg.Cluster.Masters)
-	addrs := make([]string, cfg.Cluster.Masters)
-	for gi := range masterMachines {
-		m := net.NewMachine(fmt.Sprintf("g%d.master", gi), true)
-		masterMachines[gi] = m
-		addrs[gi] = m.Host.Name()
-		c.epByName[m.Host.Name()] = m.Host
-	}
-	slotMap, err := slots.NewMap(cfg.Cluster.Masters, cfg.Cluster.SlotRanges, addrs)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: slot map construction failed after validation: %v", err))
-	}
-	c.SlotMap = slotMap
-
-	for gi := 0; gi < cfg.Cluster.Masters; gi++ {
-		g := &Group{Index: gi, MasterMachine: masterMachines[gi]}
-		route := &server.ClusterRouting{Self: gi, Map: slotMap, Port: core.ClientPort}
-		skvCfg := cfg.SKV
-		skvCfg.Group = fmt.Sprintf("g%d", gi)
-
-		name := fmt.Sprintf("g%d.master", gi)
-		g.Master, _ = newServer(name, g.MasterMachine, cfg.Seed+100+1000*int64(gi), route)
-		g.NicKV = core.NewNicKV(eng, net, g.MasterMachine, p, skvCfg)
-		g.HostKV = core.AttachMaster(g.Master, net, g.MasterMachine.NIC, skvCfg)
-
-		for i := 0; i < cfg.Cluster.SlavesPerMaster; i++ {
-			sname := fmt.Sprintf("g%d.slave%d", gi, i)
-			m := net.NewMachine(sname, false)
-			g.SlaveMachines = append(g.SlaveMachines, m)
-			c.epByName[m.Host.Name()] = m.Host
-			srv, _ := newServer(sname, m, cfg.Seed+200+1000*int64(gi)+int64(i), route)
-			g.Slaves = append(g.Slaves, srv)
-			agent := core.AttachSlave(srv, net, g.MasterMachine.NIC, skvCfg)
-			g.SlaveAgents = append(g.SlaveAgents, agent)
-			// Per-slot failover: promotion moves the group's slots to this
-			// slave's address (epoch bump → clients repair on MOVED or
-			// reconnect); demotion on master recovery moves them back. This
-			// models the converged gossip state, not per-node propagation.
-			gidx := gi
-			slaveEP := m.Host
-			masterEP := g.MasterMachine.Host
-			srv.OnRoleChange = func(r server.Role) {
-				if r == server.RoleMaster {
-					slotMap.SetAddr(gidx, slaveEP.Name())
-				} else {
-					slotMap.SetAddr(gidx, masterEP.Name())
-				}
-			}
-		}
-		c.Groups = append(c.Groups, g)
-
-		// Legacy aliases (group 0 / concatenations) keep group-agnostic
-		// helpers like AwaitReplication working untouched.
-		if gi == 0 {
-			c.Master = g.Master
-			c.HostKV = g.HostKV
-			c.NicKV = g.NicKV
-			c.MasterMachine = g.MasterMachine
-		}
-		c.Slaves = append(c.Slaves, g.Slaves...)
-		c.SlaveAgents = append(c.SlaveAgents, g.SlaveAgents...)
-		c.SlaveMachines = append(c.SlaveMachines, g.SlaveMachines...)
-	}
-
-	env.Table = slotMap
-	c.addClients(env)
 }
 
 // AwaitReplication runs the simulation until every slave reaches the
@@ -617,7 +592,7 @@ type Result struct {
 	RouteUtils []float64
 	// NicUtil is Nic-KV's main ARM core busy fraction (SKV only).
 	NicUtil float64
-	// Masters is the replication-group count (1 for legacy deployments).
+	// Masters is the replication-group count.
 	Masters int
 	// GroupOps is the per-group operation count over the measure window
 	// (one entry per group) — the slot-load balance across groups.
@@ -679,16 +654,11 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 		errs += st.ErrReplies
 		moved += st.Moved
 	}
-	nClients := len(c.Clients)
-	masters := 1
-	if len(c.Groups) > 0 {
-		masters = len(c.Groups)
-	}
 	res := Result{
 		System:     c.Cfg.Kind.String(),
-		Clients:    nClients,
+		Clients:    len(c.Clients),
 		Slaves:     len(c.Slaves),
-		Masters:    masters,
+		Masters:    len(c.Groups),
 		Moved:      moved,
 		ValueSize:  c.Cfg.ValueSize,
 		Throughput: float64(agg.Count()) / duration.Seconds(),
@@ -751,23 +721,13 @@ func (c *Cluster) Snapshots() []metrics.Snapshot {
 			snaps = append(snaps, reg.Snapshot())
 		}
 	}
-	if len(c.Groups) > 0 {
-		for _, g := range c.Groups {
-			addServer(g.Master)
-			for _, s := range g.Slaves {
-				addServer(s)
-			}
-			if g.NicKV != nil {
-				snaps = append(snaps, g.NicKV.Metrics().Snapshot())
-			}
-		}
-	} else {
-		addServer(c.Master)
-		for _, s := range c.Slaves {
+	for _, g := range c.Groups {
+		addServer(g.Master)
+		for _, s := range g.Slaves {
 			addServer(s)
 		}
-		if c.NicKV != nil {
-			snaps = append(snaps, c.NicKV.Metrics().Snapshot())
+		if g.NicKV != nil {
+			snaps = append(snaps, g.NicKV.Metrics().Snapshot())
 		}
 	}
 	for i := 1; i < len(snaps); i++ {

@@ -12,6 +12,7 @@ import (
 )
 
 func TestTCPClusterWithSlavesPropagates(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindTCP, Slaves: 2, Clients: 2, Seed: 21})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("TCP slaves never synced")
@@ -30,6 +31,7 @@ func TestTCPClusterWithSlavesPropagates(t *testing.T) {
 }
 
 func TestSKVMultiThreadedNicConsistency(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ThreadNum = 4
 	c := Build(Config{Kind: KindSKV, Slaves: 6, Clients: 4, Seed: 22, SKV: cfg})
@@ -47,6 +49,7 @@ func TestSKVMultiThreadedNicConsistency(t *testing.T) {
 }
 
 func TestSKVThreadNumReducesLagWithManySlaves(t *testing.T) {
+	t.Parallel()
 	lagFor := func(threads int) int64 {
 		cfg := core.DefaultConfig()
 		cfg.ThreadNum = threads
@@ -74,6 +77,7 @@ func TestSKVThreadNumReducesLagWithManySlaves(t *testing.T) {
 }
 
 func TestZipfWorkloadRuns(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindRDMA, Slaves: 0, Clients: 4, Seed: 24, Zipf: true, KeySpace: 100_000})
 	res := c.Measure(20*sim.Millisecond, 100*sim.Millisecond)
 	if res.Ops < 1000 || res.ErrReplies != 0 {
@@ -86,6 +90,7 @@ func TestZipfWorkloadRuns(t *testing.T) {
 }
 
 func TestMixedWorkload(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 4, Seed: 25, GetRatio: 0.7, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
@@ -104,6 +109,7 @@ func TestMixedWorkload(t *testing.T) {
 }
 
 func TestLargeValuesSurviveReplication(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 2, Seed: 26, ValueSize: 16384, KeySpace: 20, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
@@ -125,6 +131,7 @@ func TestLargeValuesSurviveReplication(t *testing.T) {
 }
 
 func TestResultStringAndUtilization(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 2, Seed: 27, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
@@ -145,12 +152,14 @@ func TestResultStringAndUtilization(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
+	t.Parallel()
 	if KindTCP.String() != "redis" || KindRDMA.String() != "rdma-redis" || KindSKV.String() != "skv" {
 		t.Fatal("kind names")
 	}
 }
 
 func TestNicServedReadsReturnCorrectValues(t *testing.T) {
+	t.Parallel()
 	// The §IV-A ablation path: clients talk to the SmartNIC, which serves
 	// GETs from its shadow replica.
 	c := Build(Config{Kind: KindSKV, Slaves: 0, Clients: 2, Seed: 28,
@@ -173,6 +182,7 @@ func TestNicServedReadsReturnCorrectValues(t *testing.T) {
 }
 
 func TestNicReplicaTracksWrites(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 2, Seed: 29, KeySpace: 50,
 		SKV: core.DefaultConfig(), NicReads: NicReadsServe})
 	if !c.AwaitReplication(2 * sim.Second) {
@@ -187,6 +197,7 @@ func TestNicReplicaTracksWrites(t *testing.T) {
 }
 
 func TestSKVMaxLagGateTripsWhenNICOverloaded(t *testing.T) {
+	t.Parallel()
 	// A crawling NIC (0.1× host) cannot keep up with 3-slave fan-out, so
 	// replication lag grows; with MaxLag set, the master must start
 	// refusing writes (§III-C: "If the progress is too slow ... it will
@@ -219,6 +230,7 @@ func replLagOf(c *Cluster) int64 {
 }
 
 func TestSKVSyncPathCounters(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 2, Seed: 33,
 		Params: fastProbeParams(), SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
@@ -258,6 +270,7 @@ func TestSKVSyncPathCounters(t *testing.T) {
 }
 
 func TestWaitCommandOnSKVMaster(t *testing.T) {
+	t.Parallel()
 	// WAIT on the SKV master consumes the per-slave offsets Nic-KV reports
 	// in its status frames.
 	cfg := core.DefaultConfig()

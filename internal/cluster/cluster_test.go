@@ -29,6 +29,7 @@ func storeGet(c *Cluster, srvIdx int, key string) string {
 }
 
 func TestTCPClusterServesClients(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindTCP, Slaves: 0, Clients: 2, Seed: 1})
 	res := c.Measure(20*sim.Millisecond, 200*sim.Millisecond)
 	if res.Ops < 1000 {
@@ -43,6 +44,7 @@ func TestTCPClusterServesClients(t *testing.T) {
 }
 
 func TestRDMAClusterFasterThanTCP(t *testing.T) {
+	t.Parallel()
 	tcp := Build(Config{Kind: KindTCP, Slaves: 0, Clients: 8, Seed: 2})
 	rdma := Build(Config{Kind: KindRDMA, Slaves: 0, Clients: 8, Seed: 2})
 	rt := tcp.Measure(20*sim.Millisecond, 200*sim.Millisecond)
@@ -54,6 +56,7 @@ func TestRDMAClusterFasterThanTCP(t *testing.T) {
 }
 
 func TestRDMAReplicationSyncsAndPropagates(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindRDMA, Slaves: 3, Clients: 4, Seed: 3})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("slaves never reached steady state")
@@ -77,6 +80,7 @@ func TestRDMAReplicationSyncsAndPropagates(t *testing.T) {
 }
 
 func TestSKVReplicationSyncsAndPropagates(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 4, Seed: 4, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("SKV slaves never reached steady state")
@@ -104,6 +108,7 @@ func TestSKVReplicationSyncsAndPropagates(t *testing.T) {
 }
 
 func TestSKVValueConsistency(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 2, Seed: 5, KeySpace: 50, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
@@ -128,6 +133,7 @@ func TestSKVValueConsistency(t *testing.T) {
 }
 
 func TestSKVBeatsRDMARedisWithSlaves(t *testing.T) {
+	t.Parallel()
 	rdma := Build(Config{Kind: KindRDMA, Slaves: 3, Clients: 8, Seed: 6})
 	skv := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 8, Seed: 6, SKV: core.DefaultConfig()})
 	if !rdma.AwaitReplication(2*sim.Second) || !skv.AwaitReplication(2*sim.Second) {
@@ -146,6 +152,7 @@ func TestSKVBeatsRDMARedisWithSlaves(t *testing.T) {
 }
 
 func TestSKVSlaveFailureDetectedAndServiceContinues(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ProgressInterval = 50 * sim.Millisecond
 	c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 4, Seed: 7, Params: fastProbeParams(), SKV: cfg})
@@ -186,6 +193,7 @@ func TestSKVSlaveFailureDetectedAndServiceContinues(t *testing.T) {
 }
 
 func TestSKVMasterFailoverAndRestore(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 1, Seed: 8, Params: fastProbeParams(), SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
@@ -227,6 +235,7 @@ func TestSKVMasterFailoverAndRestore(t *testing.T) {
 }
 
 func TestSKVMinSlavesGate(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.MinSlaves = 2
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 2, Seed: 9, Params: fastProbeParams(), SKV: cfg})
@@ -259,6 +268,7 @@ func totalErrs(c *Cluster) uint64 {
 }
 
 func TestDeterministicRuns(t *testing.T) {
+	t.Parallel()
 	run := func() Result {
 		c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 4, Seed: 11, SKV: core.DefaultConfig()})
 		if !c.AwaitReplication(2 * sim.Second) {
@@ -273,6 +283,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestGetWorkloadUnaffectedBySlaves(t *testing.T) {
+	t.Parallel()
 	// Fig 13: GETs never touch the replication path.
 	mk := func(kind Kind) Result {
 		cfg := Config{Kind: kind, Slaves: 3, Clients: 8, Seed: 12, GetRatio: 1.0}

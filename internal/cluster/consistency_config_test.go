@@ -12,6 +12,7 @@ import (
 // plane's Config surface: every meaningless combination is rejected with
 // its typed sentinel (matchable via errors.Is), and the sensible ones pass.
 func TestConsistencyConfigValidate(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		name string
 		cfg  Config

@@ -139,10 +139,12 @@ func randomWriter(t *testing.T, c *Cluster, seed int64, n int) {
 }
 
 func TestReplicationLogicalEquivalenceSKV(t *testing.T) {
+	t.Parallel()
 	runEquivalence(t, KindSKV)
 }
 
 func TestReplicationLogicalEquivalenceRDMA(t *testing.T) {
+	t.Parallel()
 	runEquivalence(t, KindRDMA)
 }
 

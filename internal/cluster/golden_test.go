@@ -19,6 +19,7 @@ var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/chaos_t
 // this is the contract that async mode stays bit-for-bit legacy: not just
 // deterministic run-to-run, but identical to the pre-refactor build.
 func TestChaosGoldenTraces(t *testing.T) {
+	t.Parallel()
 	for _, s := range ChaosScenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 // (the registry determinism contract — sim-clock stamps only, sorted
 // rendering, no map-order or wall-time leakage).
 func TestMetricsSnapshotsDeterministic(t *testing.T) {
+	t.Parallel()
 	run := func() string {
 		cfg := core.DefaultConfig()
 		cfg.ProgressInterval = 50 * sim.Millisecond
@@ -50,6 +51,7 @@ func TestMetricsSnapshotsDeterministic(t *testing.T) {
 // WAIT for full acknowledgement, and asserts the per-slave backlog-lag
 // gauges on the NIC have converged to zero.
 func TestReplicationLagConverges(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ProgressInterval = 50 * sim.Millisecond
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 1, Seed: 72,
@@ -108,6 +110,7 @@ func TestReplicationLagConverges(t *testing.T) {
 // sane sim-clock stamps: probe-miss → mark-down(master) → promote →
 // restore → demote.
 func TestFailoverTimelineOrdering(t *testing.T) {
+	t.Parallel()
 	var s Scenario
 	for _, sc := range ChaosScenarios() {
 		if sc.Name == "master-restart-split-brain" {
@@ -157,6 +160,7 @@ func TestFailoverTimelineOrdering(t *testing.T) {
 // per slave (fed by Nic-KV's status frames), and the SKV section reports
 // the offload counters.
 func TestSKVMasterInfo(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ProgressInterval = 50 * sim.Millisecond
 	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 1, Seed: 73,

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 // combination of the multi-master knobs is rejected with a clear error,
 // and the valid shapes build.
 func TestMultiMasterValidate(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -53,15 +56,34 @@ func TestMultiMasterValidate(t *testing.T) {
 	}
 }
 
-// TestMastersOneIdenticalToLegacy pins the refactor's off state: Masters=1
-// must build the exact legacy topology — byte-identical metric snapshots
-// and an identical keyspace under the same scripted workload.
+// requireOneGroup asserts c is a single-group deployment: one group, no
+// slot plane, and the cluster-level fields aliasing that group.
+func requireOneGroup(t *testing.T, label string, c *Cluster) *Group {
+	t.Helper()
+	if len(c.Groups) != 1 || c.SlotMap != nil {
+		t.Fatalf("%s: built %d groups (slot map %v), want one group and no slot map", label, len(c.Groups), c.SlotMap != nil)
+	}
+	g := c.Groups[0]
+	if g.Index != 0 || g.Master != c.Master || g.HostKV != c.HostKV || g.NicKV != c.NicKV ||
+		g.MasterMachine != c.MasterMachine || !slices.Equal(g.Slaves, c.Slaves) ||
+		!slices.Equal(g.SlaveAgents, c.SlaveAgents) || !slices.Equal(g.SlaveMachines, c.SlaveMachines) {
+		t.Fatalf("%s: group 0 does not match the cluster aliases", label)
+	}
+	return g
+}
+
+// TestMastersOneIdenticalToLegacy pins the one-group case: Masters=0 and
+// Masters=1 both build exactly one group with no slot plane, and render
+// byte-identical metric snapshots and an identical keyspace under the same
+// scripted workload.
 func TestMastersOneIdenticalToLegacy(t *testing.T) {
+	t.Parallel()
 	runOnce := func(masters int) (string, map[string]string) {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Cluster: ClusterOpts{Masters: masters}, SKV: core.DefaultConfig()})
-		if c.SlotMap != nil || len(c.Groups) != 0 {
-			t.Fatalf("masters=%d built multi-master state", masters)
+		g := requireOneGroup(t, fmt.Sprintf("masters=%d", masters), c)
+		if g.NicKV == nil || g.HostKV == nil || len(g.SlaveAgents) != 2 {
+			t.Fatalf("masters=%d: SKV group lacks its Nic-KV, Host-KV or slave agents", masters)
 		}
 		if !c.AwaitReplication(2 * sim.Second) {
 			t.Fatalf("masters=%d: sync failed", masters)
@@ -84,13 +106,41 @@ func TestMastersOneIdenticalToLegacy(t *testing.T) {
 	}
 }
 
+// TestBaselineBuildsOneGroup pins the baseline build: an RDMA-Redis
+// deployment is one group with no SmartNIC offload, whose slaves attach to
+// the master host by SLAVEOF and reach steady-state replication.
+func TestBaselineBuildsOneGroup(t *testing.T) {
+	t.Parallel()
+	c := Build(Config{Kind: KindRDMA, Slaves: 2, Seed: 31})
+	g := requireOneGroup(t, "rdma", c)
+	if g.NicKV != nil || g.HostKV != nil || len(g.SlaveAgents) != 0 {
+		t.Fatal("baseline group carries SKV offload state")
+	}
+	if len(g.Slaves) != 2 {
+		t.Fatalf("baseline group has %d slaves, want 2", len(g.Slaves))
+	}
+	if !c.AwaitReplication(2 * sim.Second) {
+		t.Fatal("baseline slaves never synced by SLAVEOF")
+	}
+	for i, s := range g.Slaves {
+		if !s.SyncedWithMaster() {
+			t.Fatalf("slave%d is not synced with the master", i)
+		}
+	}
+	randomWriter(t, c, 77, 500)
+	if err := c.CheckConvergence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMastersOneChaosTraceIdentical extends the off-state pin to the chaos
 // harness: the hardest scenario (master restart after failover) must
 // produce byte-identical failure traces with Masters unset and Masters=1.
 func TestMastersOneChaosTraceIdentical(t *testing.T) {
+	t.Parallel()
 	runOnce := func(masters int) (string, string) {
 		s := ChaosScenarios()[0] // master-restart-split-brain
-		s.Masters = masters
+		s.Cluster.Masters = masters
 		c, h, err := RunScenario(s)
 		if err != nil {
 			t.Fatalf("masters=%d: %v", masters, err)
@@ -113,6 +163,7 @@ func TestMastersOneChaosTraceIdentical(t *testing.T) {
 // no error replies leak through, every key lives on the group that owns
 // its slot, and each group's slaves replicate their master exactly.
 func TestMultiMasterKeyspacePartitioned(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1},
 		Clients: 4, Pipeline: 4, Seed: 31, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
@@ -179,6 +230,7 @@ func TestMultiMasterKeyspacePartitioned(t *testing.T) {
 // the same in both runs — the slot clients' per-group windows keep the
 // offered load per master constant as groups are added.
 func TestMultiMasterThroughputScales(t *testing.T) {
+	t.Parallel()
 	run := func(masters int) Result {
 		cfg := Config{Kind: KindSKV, Clients: 8, Pipeline: 8,
 			Seed: 67, SKV: core.DefaultConfig()}
@@ -212,6 +264,7 @@ func TestMultiMasterThroughputScales(t *testing.T) {
 // deterministic: a second run reproduces the trace, the timeline, and the
 // metric snapshots byte-for-byte.
 func TestPerSlotFailoverIsolation(t *testing.T) {
+	t.Parallel()
 	runOnce := func() *PerSlotFailoverResult {
 		r, err := RunPerSlotFailover(7)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 // has ARM cores silently ran fewer — now the effective count is a gauge on
 // the NIC registry and a line in the master's INFO SKV section.
 func TestNicThreadClampSurfaced(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ThreadNum = 99 // far beyond the ARM core count: must clamp
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 12, SKV: cfg})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"skv/internal/core"
-	"skv/internal/model"
 	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
@@ -35,6 +34,7 @@ func requireSameKeyspace(t *testing.T, label string, master, replica *store.Stor
 // to the master keyspace at 1, 2 and 4 host shards (the replica mirrors
 // the host shard layout on the ARM cores).
 func TestNicReplicaKeyspaceEqualsMasterAcrossShards(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 2, 4} {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Params: shardParams(shards), SKV: core.DefaultConfig(),
@@ -59,6 +59,7 @@ func TestNicReplicaKeyspaceEqualsMasterAcrossShards(t *testing.T) {
 // merge stage still owns the one serialized order. Same oracle as above,
 // with 2 and 4 routing listeners in front of 4 shards.
 func TestNicReplicaKeyspaceEqualsMasterRouted(t *testing.T) {
+	t.Parallel()
 	for _, listeners := range []int{2, 4} {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Params: routeParams(4, listeners), SKV: core.DefaultConfig(),
@@ -83,12 +84,13 @@ func TestNicReplicaKeyspaceEqualsMasterRouted(t *testing.T) {
 // converges, the replica must match the master keyspace — failovers,
 // partitions and reconnect replays (trimmed, not double-applied) included.
 func TestNicReplicaChaosKeyspaceEquality(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 2, 4} {
 		for _, s := range ChaosScenarios() {
 			s := s
 			shards := shards
 			s.NicReads = NicReadsServe
-			s.Tune = func(p *model.Params) { p.HostShards = shards }
+			params(&s).HostShards = shards
 			t.Run(fmt.Sprintf("%s/shards%d", s.Name, shards), func(t *testing.T) {
 				c, h, err := RunScenario(s)
 				if err != nil {
@@ -138,6 +140,7 @@ func nicDo(t *testing.T, c *Cluster, cmds [][]byte) []resp.Value {
 // stream applier discarded the SELECT context. Writes to db 1 must land in
 // the replica's db 1, and a NIC client must be able to SELECT into it.
 func TestNicReplicaHonorsDBIndex(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 4} {
 		c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 35,
 			Params: shardParams(shards), SKV: core.DefaultConfig(),
@@ -200,6 +203,7 @@ func TestNicReplicaHonorsDBIndex(t *testing.T) {
 // NicReads is the one authoritative setting, and the combinations Build
 // used to half-accept now fail validation.
 func TestBuildRejectsInconsistentNicConfig(t *testing.T) {
+	t.Parallel()
 	if err := (Config{Kind: KindTCP, NicReads: NicReadsClients}).Validate(); err == nil {
 		t.Fatal("NicReads on a NIC-less deployment passed validation")
 	}

@@ -453,40 +453,34 @@ func RunReshardUnderLoadTracked(seed int64) (*ReshardResult, error) {
 }
 
 func runReshardUnderLoad(seed int64, tracked bool) (*ReshardResult, error) {
-	p := ChaosParams(0)
-	c := Build(Config{
-		Kind:     KindSKV,
-		Cluster:  ClusterOpts{Masters: rshMasters, SlavesPerMaster: rshSlaves},
-		Clients:  rshClients,
-		Pipeline: rshPipeline,
-		KeySpace: rshKeySpace,
-		GetRatio: rshGetRatio,
-		Seed:     seed,
-		Params:   p,
-		SKV:      core.Config{ProgressInterval: 50 * sim.Millisecond},
-		Tracking: tracked,
+	res := &ReshardResult{}
+	_, _, err := run(Scenario{
+		Name: "reshard",
+		Config: Config{
+			Cluster:  ClusterOpts{Masters: rshMasters, SlavesPerMaster: rshSlaves},
+			Clients:  rshClients,
+			Pipeline: rshPipeline,
+			KeySpace: rshKeySpace,
+			GetRatio: rshGetRatio,
+			Seed:     seed,
+			Tracking: tracked,
+		},
+		Script: func(h *Chaos) {
+			res.C, res.H = h.C, h
+			res.L = newReshardLedger(h.C, rshSlotStart, rshSlotEnd, rshLedgerKeys, rshLedgerWindow)
+			res.L.start()
+			h.OnLoadStop(res.L.stop)
+			res.M = NewSlotMigrator(h.C, h)
+			h.At(rshMoveAt, "reshard begins", func(*Cluster) {
+				moveChunk(res.M, rshSlotStart, res)
+			})
+		},
+		RunFor: rshRunFor,
+		Settle: rshSettle,
 	})
-	if !c.AwaitReplication(2 * sim.Second) {
-		return nil, fmt.Errorf("reshard: initial replication did not complete")
+	if err != nil {
+		return nil, err
 	}
-	h := NewChaos(c)
-	h.Note("replication ready")
-	c.StartClients()
-	ledger := newReshardLedger(c, rshSlotStart, rshSlotEnd, rshLedgerKeys, rshLedgerWindow)
-	ledger.start()
-	m := NewSlotMigrator(c, h)
-	res := &ReshardResult{C: c, H: h, M: m, L: ledger}
-	h.At(rshMoveAt, "reshard begins", func(c *Cluster) {
-		moveChunk(m, rshSlotStart, res)
-	})
-	c.Eng.RunFor(rshRunFor)
-	ledger.stop()
-	for _, cl := range c.Clients {
-		cl.Stop()
-	}
-	h.Note("load stopped")
-	c.Eng.RunFor(rshSettle)
-	h.Note("settled")
 	return res, res.check()
 }
 

@@ -15,6 +15,7 @@ import (
 // here we additionally pin that the ASK machinery actually fired — a
 // migration nobody raced would pass check() without testing anything.
 func TestReshardUnderLoad(t *testing.T) {
+	t.Parallel()
 	r, err := RunReshardUnderLoad(42)
 	if err != nil {
 		if r != nil {
@@ -49,6 +50,7 @@ func TestReshardUnderLoad(t *testing.T) {
 // byte-identical chaos traces and metric snapshots — the determinism
 // contract the ISSUE's acceptance criteria names for the migration path.
 func TestReshardTraceDeterministic(t *testing.T) {
+	t.Parallel()
 	r1, err1 := RunReshardUnderLoad(42)
 	r2, err2 := RunReshardUnderLoad(42)
 	if err1 != nil || err2 != nil {
@@ -74,6 +76,7 @@ func TestReshardTraceDeterministic(t *testing.T) {
 // keys to the target — and counter-asserts MapRefreshes stays frozen while
 // ASKs flow, then flips ownership and demands the refresh.
 func TestSlotClientRedirectSemantics(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1},
 		Clients: 2, Pipeline: 2, KeySpace: 200, GetRatio: 0.5,
 		Seed: 91, SKV: core.DefaultConfig()})

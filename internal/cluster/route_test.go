@@ -26,6 +26,7 @@ func routeParams(shards, listeners int) *model.Params {
 // count must reproduce its own metric snapshots byte-for-byte on a second
 // identical run.
 func TestSKVKeyspaceIdenticalAcrossListenerCounts(t *testing.T) {
+	t.Parallel()
 	runOnce := func(listeners int) (*Cluster, map[string]string) {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Params: routeParams(4, listeners), SKV: core.DefaultConfig()})
@@ -76,6 +77,7 @@ func TestSKVKeyspaceIdenticalAcrossListenerCounts(t *testing.T) {
 // and must render byte-identical snapshots — the dispatch-owned pipeline
 // unchanged from before the routing plane existed.
 func TestRouteListenersOffAndOneIdentical(t *testing.T) {
+	t.Parallel()
 	runOnce := func(listeners int) string {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Params: routeParams(4, listeners), SKV: core.DefaultConfig()})
@@ -98,6 +100,7 @@ func TestRouteListenersOffAndOneIdentical(t *testing.T) {
 // parse + routing onto 2 routing cores must clear strictly more operations,
 // and the routing cores must actually absorb the front-end work.
 func TestRoutedThroughputRelievesDispatch(t *testing.T) {
+	t.Parallel()
 	run := func(listeners int) Result {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 8, Pipeline: 8,
 			Seed: 55, Params: routeParams(4, listeners), SKV: core.DefaultConfig()})
@@ -130,15 +133,15 @@ func TestRoutedThroughputRelievesDispatch(t *testing.T) {
 // across the rest of the listeners × shards grid, and double-run
 // determinism of both the failover timeline and the metric snapshots.
 func TestChaosScenariosRouted(t *testing.T) {
-	tune := func(shards, listeners int) func(p *model.Params) {
-		return func(p *model.Params) {
-			p.HostShards = shards
-			p.RouteListeners = listeners
-		}
+	t.Parallel()
+	tune := func(s *Scenario, shards, listeners int) {
+		p := params(s)
+		p.HostShards = shards
+		p.RouteListeners = listeners
 	}
 	for _, s := range ChaosScenarios() {
 		s := s
-		s.Tune = tune(4, 2)
+		tune(&s, 4, 2)
 		t.Run(fmt.Sprintf("%s/shards4-listeners2", s.Name), func(t *testing.T) {
 			c, h, err := RunScenario(s)
 			if err != nil {
@@ -171,7 +174,7 @@ func TestChaosScenariosRouted(t *testing.T) {
 			if s.Name != "master-restart-split-brain" {
 				continue
 			}
-			s.Tune = tune(g.shards, g.listeners)
+			tune(&s, g.shards, g.listeners)
 			t.Run(fmt.Sprintf("%s/shards%d-listeners%d", s.Name, g.shards, g.listeners), func(t *testing.T) {
 				_, h, err := RunScenario(s)
 				if err != nil {
@@ -191,6 +194,7 @@ func TestChaosScenariosRouted(t *testing.T) {
 // WAIT live (bytes parked behind the timer flush within the delay, never
 // deadlock), and stay deterministic across identical runs.
 func TestRoutedBatchedDoorbellTimer(t *testing.T) {
+	t.Parallel()
 	timerParams := func() *model.Params {
 		p := routeParams(4, 2)
 		p.ReplBatchMaxCmds = 8
@@ -245,6 +249,7 @@ func TestRoutedBatchedDoorbellTimer(t *testing.T) {
 // replicas within the coalescing delay — WAIT observes the quorum instead
 // of deadlocking on bytes held back by the batcher.
 func TestRoutedBatchedWaitLiveness(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.ProgressInterval = 50 * sim.Millisecond
 	p := routeParams(4, 2)

@@ -25,6 +25,7 @@ func shardParams(shards int) *model.Params {
 // shard count also runs twice and must produce byte-identical metric
 // snapshots: the sharded pipeline stays inside the determinism contract.
 func TestSKVKeyspaceIdenticalAcrossShardCounts(t *testing.T) {
+	t.Parallel()
 	runOnce := func(shards int) (*Cluster, map[string]string) {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Params: shardParams(shards), SKV: core.DefaultConfig()})
@@ -75,6 +76,7 @@ func TestSKVKeyspaceIdenticalAcrossShardCounts(t *testing.T) {
 // covers every routed write admitted before it, and the acknowledged
 // replica count still reaches quorum at every shard count.
 func TestWaitCommandAcrossShardCounts(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 2, 4} {
 		cfg := core.DefaultConfig()
 		cfg.ProgressInterval = 50 * sim.Millisecond
@@ -120,6 +122,7 @@ func TestWaitCommandAcrossShardCounts(t *testing.T) {
 // clears more operations than the single-threaded server, and the shard
 // cores actually absorb work (nonzero utilization).
 func TestShardedThroughputScales(t *testing.T) {
+	t.Parallel()
 	run := func(shards int) Result {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 8, Pipeline: 8,
 			Seed: 55, Params: shardParams(shards), SKV: core.DefaultConfig()})
@@ -157,11 +160,12 @@ func TestShardedThroughputScales(t *testing.T) {
 // a repeated sharded run must reproduce both its failover timeline and its
 // metric snapshots byte-for-byte.
 func TestChaosScenariosSharded(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{2, 4} {
 		for _, s := range ChaosScenarios() {
 			s := s
 			shards := shards
-			s.Tune = func(p *model.Params) { p.HostShards = shards }
+			params(&s).HostShards = shards
 			t.Run(fmt.Sprintf("%s/shards%d", s.Name, shards), func(t *testing.T) {
 				c, h, err := RunScenario(s)
 				if err != nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"skv/internal/core"
 	"skv/internal/server"
 	"skv/internal/sim"
 )
@@ -114,16 +113,15 @@ type PerSlotFailoverResult struct {
 // perSlotFailoverSpec pins the scenario's shape so two runs with the same
 // seed are comparable (the determinism tests re-run it verbatim).
 const (
-	psfMasters     = 2
-	psfSlaves      = 2 // per master
-	psfClients     = 4
-	psfPipeline    = 4
-	psfVictim      = 1
-	psfCrashAt     = 300 * sim.Millisecond
-	psfRunFor      = 1500 * sim.Millisecond
-	psfSettle      = 1 * sim.Second
-	psfBucket      = 50 * sim.Millisecond
-	psfProgressInt = 50 * sim.Millisecond
+	psfMasters  = 2
+	psfSlaves   = 2 // per master
+	psfClients  = 4
+	psfPipeline = 4
+	psfVictim   = 1
+	psfCrashAt  = 300 * sim.Millisecond
+	psfRunFor   = 1500 * sim.Millisecond
+	psfSettle   = 1 * sim.Second
+	psfBucket   = 50 * sim.Millisecond
 )
 
 // RunPerSlotFailover builds a 2-group hash-slot deployment, crashes group
@@ -132,34 +130,28 @@ const (
 // promoted slave serving the group's slots (checked here), which is the
 // steady state a real cluster runs in until an operator re-adds the node.
 func RunPerSlotFailover(seed int64) (*PerSlotFailoverResult, error) {
-	p := ChaosParams(0)
-	c := Build(Config{
-		Kind:     KindSKV,
-		Cluster:  ClusterOpts{Masters: psfMasters, SlavesPerMaster: psfSlaves},
-		Clients:  psfClients,
-		Pipeline: psfPipeline,
-		Seed:     seed,
-		Params:   p,
-		SKV:      core.Config{ProgressInterval: psfProgressInt},
+	var avail *SlotAvailability
+	c, h, err := run(Scenario{
+		Name: "per-slot failover",
+		Config: Config{
+			Cluster:  ClusterOpts{Masters: psfMasters, SlavesPerMaster: psfSlaves},
+			Clients:  psfClients,
+			Pipeline: psfPipeline,
+			Seed:     seed,
+		},
+		Script: func(h *Chaos) {
+			avail = SampleSlotAvailability(h.C, psfBucket)
+			h.OnLoadStop(avail.Stop)
+			h.At(psfCrashAt, fmt.Sprintf("crash g%d master", psfVictim), func(c *Cluster) {
+				c.Groups[psfVictim].Master.Crash()
+			})
+		},
+		RunFor: psfRunFor,
+		Settle: psfSettle,
 	})
-	if !c.AwaitReplication(2 * sim.Second) {
-		return nil, fmt.Errorf("per-slot failover: initial replication did not complete")
+	if err != nil {
+		return nil, err
 	}
-	h := NewChaos(c)
-	h.Note("replication ready")
-	c.StartClients()
-	avail := SampleSlotAvailability(c, psfBucket)
-	h.At(psfCrashAt, fmt.Sprintf("crash g%d master", psfVictim), func(c *Cluster) {
-		c.Groups[psfVictim].Master.Crash()
-	})
-	c.Eng.RunFor(psfRunFor)
-	avail.Stop()
-	for _, cl := range c.Clients {
-		cl.Stop()
-	}
-	h.Note("load stopped")
-	c.Eng.RunFor(psfSettle)
-	h.Note("settled")
 
 	res := &PerSlotFailoverResult{C: c, H: h, Avail: avail, Victim: psfVictim, Promoted: -1}
 	victim := c.Groups[psfVictim]
@@ -196,7 +188,7 @@ func (r *PerSlotFailoverResult) check() error {
 		if gi == r.Victim {
 			continue
 		}
-		for _, e := range checkGroupConvergence(g.Master, g.Slaves, g.SlaveAgents, g.NicKV) {
+		for _, e := range g.convergence() {
 			add("g%d: %s", gi, e)
 		}
 	}

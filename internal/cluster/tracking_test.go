@@ -101,7 +101,7 @@ func aliveMaster(t *testing.T, label string, master *server.Server, slaves []*se
 // promoted) master otherwise.
 func ownerStore(t *testing.T, c *Cluster, key string) *store.Store {
 	t.Helper()
-	if len(c.Groups) > 0 {
+	if c.SlotMap != nil {
 		g := c.Groups[c.SlotMap.Owner(slots.Slot([]byte(key)))]
 		return aliveMaster(t, fmt.Sprintf("g%d", g.Index), g.Master, g.Slaves).Store()
 	}
@@ -161,6 +161,7 @@ func runTracked(t *testing.T, c *Cluster, load, settle sim.Duration) {
 // connection). A mixed Zipfian load across three clients must produce
 // cache hits, cross-client invalidations, no errors, and a coherent cache.
 func TestTrackingSmokeInBand(t *testing.T) {
+	t.Parallel()
 	for _, kind := range []Kind{KindTCP, KindRDMA} {
 		c := Build(Config{Kind: kind, Slaves: 0, Clients: 3, Seed: 41,
 			KeySpace: 300, GetRatio: 0.8, Zipf: true, Tracking: true})
@@ -186,6 +187,7 @@ func TestTrackingSmokeInBand(t *testing.T) {
 // generated on the NIC's replication fan-out path and delivered over the
 // out-of-band subscription channel. The host-side table must stay empty.
 func TestTrackingSmokeSKVRedirect(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 3, Seed: 43,
 		KeySpace: 300, GetRatio: 0.8, Zipf: true, Tracking: true,
 		SKV: core.DefaultConfig()})
@@ -211,6 +213,7 @@ func TestTrackingSmokeSKVRedirect(t *testing.T) {
 // mid-load. The client must flush its cache, subscribe afresh, serve from
 // the cache again, and end coherent with the master.
 func TestTrackingRedirectClientResubscribes(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 3, Seed: 45,
 		KeySpace: 300, GetRatio: 0.8, Zipf: true, Tracking: true,
 		SKV: core.DefaultConfig()})
@@ -263,6 +266,7 @@ func TestTrackingRedirectClientResubscribes(t *testing.T) {
 // the old subscription. That late drop must not disarm the victim's live
 // subscription, and no cache may end stale.
 func TestTrackingRedirectLateDropAfterPartition(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 3, Seed: 49,
 		KeySpace: 300, GetRatio: 0.8, Zipf: true, Tracking: true,
 		SKV: core.DefaultConfig()})
@@ -303,6 +307,7 @@ func TestTrackingRedirectLateDropAfterPartition(t *testing.T) {
 // host-connected writer seeds and then overwrites keys, and the overwrite
 // must invalidate every NIC-side cache through the in-band RESP3 pushes.
 func TestTrackingSmokeNicServedReads(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 2, Seed: 47,
 		KeySpace: 100, GetRatio: 1, Zipf: true, Tracking: true,
 		NicReads: NicReadsClients, SKV: core.DefaultConfig()})
@@ -348,6 +353,7 @@ func TestTrackingSmokeNicServedReads(t *testing.T) {
 // a client that negotiates tracking, records interest and disconnects must
 // leave the host's interest table empty.
 func TestTrackingInterestDroppedOnDisconnectInBand(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindTCP, Clients: 0, Seed: 51})
 	rc := dialRaw(t, c, "churn", c.MasterMachine.Host, core.ClientPort)
 	rc.conn.Send(resp.EncodeCommand("client", "tracking", "on"))
@@ -375,6 +381,7 @@ func TestTrackingInterestDroppedOnDisconnectInBand(t *testing.T) {
 // a drop to the NIC, and the subscription channel's own close must drop
 // the subscriber from the accept loop.
 func TestTrackingInterestDroppedOnDisconnectRedirect(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 53, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
@@ -425,6 +432,7 @@ func TestTrackingInterestDroppedOnDisconnectRedirect(t *testing.T) {
 // NIC-served read path, where the interest table and the data connection
 // both live on the SmartNIC.
 func TestTrackingInterestDroppedOnDisconnectNicServed(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 57,
 		NicReads: NicReadsClients, SKV: core.DefaultConfig()})
 	if !c.AwaitReplication(2 * sim.Second) {
@@ -455,6 +463,7 @@ func TestTrackingInterestDroppedOnDisconnectNicServed(t *testing.T) {
 // way a client could observe — after a mixed Zipfian run at 1, 2 and 4
 // host shards every surviving cache entry equals the master's value.
 func TestTrackingCacheCoherentAcrossShards(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 2, 4} {
 		c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 2, Seed: 61,
 			KeySpace: 400, GetRatio: 0.7, Zipf: true, Tracking: true,
@@ -473,6 +482,7 @@ func TestTrackingCacheCoherentAcrossShards(t *testing.T) {
 // routed mixed load, each cache entry must match the owning group's
 // master.
 func TestTrackingCacheCoherentMultiMaster(t *testing.T) {
+	t.Parallel()
 	c := Build(Config{Kind: KindSKV,
 		Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1},
 		Clients: 2, Pipeline: 2, Seed: 63,
@@ -533,6 +543,7 @@ func trackedScenario(s Scenario) Scenario {
 // entry differing from what the surviving master serves — across master
 // crash/restart, slave churn, partitions and lossy links.
 func TestTrackingChaosNoStaleReads(t *testing.T) {
+	t.Parallel()
 	var invals uint64
 	for _, s := range ChaosScenarios() {
 		s := trackedScenario(s)
@@ -554,6 +565,7 @@ func TestTrackingChaosNoStaleReads(t *testing.T) {
 // whole observable state — trace, metric snapshots, client counters and
 // cache contents — byte-identical across reruns.
 func TestTrackingChaosDeterministic(t *testing.T) {
+	t.Parallel()
 	runOnce := func() string {
 		s := trackedScenario(ChaosScenarios()[0]) // master-restart-split-brain
 		c, h, err := RunScenario(s)
@@ -572,6 +584,7 @@ func TestTrackingChaosDeterministic(t *testing.T) {
 // final-owner values) must hold, no cache entry may outlive the move with
 // a stale value, and the whole run must be deterministic.
 func TestTrackingReshardNoStaleReads(t *testing.T) {
+	t.Parallel()
 	runOnce := func() (*ReshardResult, string) {
 		r, err := RunReshardUnderLoadTracked(7)
 		if err != nil {

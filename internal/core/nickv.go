@@ -121,13 +121,13 @@ type NicKV struct {
 	// reference point for the per-slave lag gauges).
 	streamEnd int64
 
-	mReplRequests *metrics.Counter
-	mReplCmds     *metrics.Counter
-	mStreamSent   *metrics.Counter
-	mProbesSent   *metrics.Counter
-	mProbeAcks    *metrics.Counter
-	mMarkDowns    *metrics.Counter
-	mMarkUps      *metrics.Counter
+	mReplRequests  *metrics.Counter
+	mReplCmds      *metrics.Counter
+	mStreamSent    *metrics.Counter
+	mProbesSent    *metrics.Counter
+	mProbeAcks     *metrics.Counter
+	mMarkDowns     *metrics.Counter
+	mMarkUps       *metrics.Counter
 	mGatesQueued   *metrics.Counter
 	mGateReleases  *metrics.Counter
 	gGatesPending  *metrics.Gauge
@@ -162,13 +162,13 @@ func NewNicKV(eng *sim.Engine, net *fabric.Network, m *fabric.Machine, params *m
 		metrics:  reg,
 		timeline: metrics.NewTimeline(eng.Now),
 
-		mReplRequests: reg.Counter("nickv.repl.requests"),
-		mReplCmds:     reg.Counter("nickv.repl.cmds"),
-		mStreamSent:   reg.Counter("nickv.stream.sent"),
-		mProbesSent:   reg.Counter("nickv.probe.sent"),
-		mProbeAcks:    reg.Counter("nickv.probe.acks"),
-		mMarkDowns:    reg.Counter("nickv.node.mark_down"),
-		mMarkUps:      reg.Counter("nickv.node.mark_up"),
+		mReplRequests:  reg.Counter("nickv.repl.requests"),
+		mReplCmds:      reg.Counter("nickv.repl.cmds"),
+		mStreamSent:    reg.Counter("nickv.stream.sent"),
+		mProbesSent:    reg.Counter("nickv.probe.sent"),
+		mProbeAcks:     reg.Counter("nickv.probe.acks"),
+		mMarkDowns:     reg.Counter("nickv.node.mark_down"),
+		mMarkUps:       reg.Counter("nickv.node.mark_up"),
 		mGatesQueued:   reg.Counter("nickv.gate.queued"),
 		mGateReleases:  reg.Counter("nickv.gate.releases"),
 		gGatesPending:  reg.Gauge("nickv.gate.pending"),

@@ -249,7 +249,7 @@ func (r *Reader) readValue() (Value, bool, error) {
 		if n == -1 {
 			return Value{Type: t, Null: true}, true, nil
 		}
-		if len(r.buf)-r.pos < n+2 {
+		if n > len(r.buf)-r.pos-2 { // written so a huge n cannot overflow
 			return Value{}, false, nil
 		}
 		payload := append([]byte(nil), r.buf[r.pos:r.pos+n]...)
@@ -270,6 +270,12 @@ func (r *Reader) readValue() (Value, bool, error) {
 		}
 		if n == -1 {
 			return Value{Type: t, Null: true}, true, nil
+		}
+		// Every element takes at least 3 bytes, so an array announcing more
+		// elements than there are buffered bytes cannot be complete yet —
+		// and the length is never trusted for an allocation beyond them.
+		if n > len(r.buf)-r.pos {
+			return Value{}, false, nil
 		}
 		arr := make([]Value, 0, n)
 		for i := 0; i < n; i++ {
