@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race verify bench bench-smoke clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke bench-go clean
 
 all: verify
 
@@ -45,6 +45,13 @@ bench:
 # cluster, runs, and renders. Numbers are meaningless at this scale.
 bench-smoke:
 	$(GO) run ./cmd/skv-bench -smoke
+
+# The simulator's own wall-clock cost: the paper-set window benchmark
+# (allocs/op, sim events/s, allocs per client op) and RESP command parsing.
+# CI runs each once (BENCHTIME=1x) so both keep compiling and running.
+BENCHTIME ?= 1s
+bench-go:
+	$(GO) test -run '^$$' -bench . -benchtime=$(BENCHTIME) ./internal/cluster/ ./internal/resp/
 
 clean:
 	$(GO) clean ./...

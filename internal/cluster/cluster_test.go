@@ -132,6 +132,40 @@ func TestSKVValueConsistency(t *testing.T) {
 	}
 }
 
+// TestFanOutFrameReachesEverySlaveIntact: Nic-KV builds one stream frame
+// per replication request and sends it to every slave; the verbs layer
+// takes each posted frame without copying. Every one of three slaves must
+// still end byte-identical to the master, with the fan-out inline on the
+// NIC's main core and spread over per-slave threads.
+func TestFanOutFrameReachesEverySlaveIntact(t *testing.T) {
+	t.Parallel()
+	for _, threads := range []int{1, 3} {
+		cfg := core.DefaultConfig()
+		cfg.ThreadNum = threads
+		c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 0, Seed: 14, SKV: cfg})
+		if !c.AwaitReplication(2 * sim.Second) {
+			t.Fatalf("threads=%d: sync failed", threads)
+		}
+		randomWriter(t, c, 14, 2000)
+		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
+		want := fingerprint(c.Master.Store())
+		if len(want) == 0 {
+			t.Fatalf("threads=%d: master empty after the writes", threads)
+		}
+		for i, sl := range c.Slaves {
+			got := fingerprint(sl.Store())
+			if len(got) != len(want) {
+				t.Fatalf("threads=%d: slave%d has %d keys, master %d", threads, i, len(got), len(want))
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("threads=%d: slave%d %s = %q, master %q", threads, i, k, got[k], v)
+				}
+			}
+		}
+	}
+}
+
 func TestSKVBeatsRDMARedisWithSlaves(t *testing.T) {
 	t.Parallel()
 	rdma := Build(Config{Kind: KindRDMA, Slaves: 3, Clients: 8, Seed: 6})

@@ -153,12 +153,12 @@ func (h *HostKV) propagate(b replstream.Batch) {
 		return // NIC connection still handshaking; backlog covers the gap
 	}
 	h.Srv.Proc().Core.Charge(h.Srv.Params().ReplOffloadReqCPU)
-	var frame []byte
+	frame := make([]byte, 0, 1+8+8+len(b.Data))
 	if b.Cmds == 1 {
-		frame = []byte{msgReplReq}
+		frame = append(frame, msgReplReq)
 		frame = appendU64(frame, uint64(b.Start))
 	} else {
-		frame = []byte{msgReplReqBatch}
+		frame = append(frame, msgReplReqBatch)
 		frame = appendU64(frame, uint64(b.Start))
 		frame = appendU64(frame, uint64(b.Cmds))
 	}

@@ -561,7 +561,8 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 	if len(n.gates) > 0 {
 		tag = msgCmdStreamAck
 	}
-	frame := []byte{tag}
+	frame := make([]byte, 0, 1+8+len(cmd))
+	frame = append(frame, tag)
 	frame = appendU64(frame, uint64(off))
 	frame = append(frame, cmd...)
 	n.eachValidSlave(func(nd *nodeEntry) {

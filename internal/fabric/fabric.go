@@ -139,6 +139,9 @@ type Network struct {
 	// faults is the fault-injection plane, nil until Faults() installs it.
 	faults *Faults
 
+	// freeDeliveries holds delivery records whose event has fired.
+	freeDeliveries []*delivery
+
 	// metrics is the fabric's registry (nil until SetMetrics); the resolved
 	// instruments below are nil-safe no-ops without it.
 	metrics      *metrics.Registry
@@ -286,21 +289,46 @@ func (n *Network) deliverAfter(src, dst *Endpoint, size int, payload any, lat si
 		arrive = last
 	}
 	n.lastArrival[key] = arrive
-	lat = arrive.Sub(n.eng.Now())
-	n.eng.After(lat, func() {
-		m := Message{Src: src, Dst: dst, Size: size, Payload: payload}
-		if dst.down || dst.deliver == nil {
-			n.Dropped++
-			n.mDropped.Inc()
-			notifyOutcome(src, m, false)
-			return
-		}
-		n.Delivered++
-		n.mDelivered.Inc()
-		// The ack for this delivery travels dst→src; a partitioned reverse
-		// path starves the sender of acks even though the data landed.
-		acked := n.faults == nil || !n.faults.Partitioned(dst, src)
-		dst.deliver(m)
-		notifyOutcome(src, m, acked)
-	})
+	if now := n.eng.Now(); arrive < now {
+		arrive = now
+	}
+	var d *delivery
+	if k := len(n.freeDeliveries); k > 0 {
+		d = n.freeDeliveries[k-1]
+		n.freeDeliveries = n.freeDeliveries[:k-1]
+	} else {
+		d = &delivery{net: n}
+		d.fire = d.deliver
+	}
+	d.msg = Message{Src: src, Dst: dst, Size: size, Payload: payload}
+	n.eng.Schedule(arrive, d.fire)
+}
+
+// delivery is one message in flight. Records are recycled through the
+// network's free list, and fire (d.deliver) is bound once per record, so a
+// steady message stream schedules without allocating.
+type delivery struct {
+	net  *Network
+	msg  Message
+	fire func()
+}
+
+func (d *delivery) deliver() {
+	n, m := d.net, d.msg
+	d.msg = Message{}
+	n.freeDeliveries = append(n.freeDeliveries, d)
+	src, dst := m.Src, m.Dst
+	if dst.down || dst.deliver == nil {
+		n.Dropped++
+		n.mDropped.Inc()
+		notifyOutcome(src, m, false)
+		return
+	}
+	n.Delivered++
+	n.mDelivered.Inc()
+	// The ack for this delivery travels dst→src; a partitioned reverse
+	// path starves the sender of acks even though the data landed.
+	acked := n.faults == nil || !n.faults.Partitioned(dst, src)
+	dst.deliver(m)
+	notifyOutcome(src, m, acked)
 }

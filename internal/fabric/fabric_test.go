@@ -139,3 +139,27 @@ func TestNoSmartNICMeansNilNIC(t *testing.T) {
 		t.Fatal("machine without SmartNIC has a NIC endpoint")
 	}
 }
+
+// A send→deliver round trip recycles its delivery record and event, so a
+// warm link moves messages without allocating (the payload is the
+// caller's).
+func TestSendDeliverSteadyStateAllocatesNothing(t *testing.T) {
+	eng, n, _ := testNet()
+	a := n.NewMachine("a", false)
+	b := n.NewMachine("b", true)
+	got := 0
+	b.NIC.Handle(func(Message) { got++ })
+	payload := any(&struct{ seq int }{})
+	step := func() {
+		n.Send(a.Host, b.NIC, 64, payload, 0)
+		n.Send(a.Host, b.NIC, 128, payload, 0)
+		eng.Run(0)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("send→deliver allocated %.1f times per run, want 0", allocs)
+	}
+	if got != 2*1001+2 {
+		t.Fatalf("delivered %d messages", got)
+	}
+}

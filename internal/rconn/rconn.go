@@ -141,7 +141,11 @@ type conn struct {
 	writeOff   int
 	msgCredit  int
 	ringWait   bool // stalled waiting for a fresh MR after RING_FULL
-	pending    [][]byte
+	pending    sim.Queue[[]byte]
+
+	// drain is c.drainCQ, bound once so each completion event posts no
+	// closure of its own.
+	drain func()
 
 	ready   bool
 	onReady func()
@@ -157,6 +161,7 @@ var _ transport.Conn = (*conn)(nil)
 
 func (s *Stack) newConn(qp *rdma.QP) *conn {
 	c := &conn{stack: s, qp: qp}
+	c.drain = c.drainCQ
 	qp.Context = c
 	// Retry exhaustion on a dead link (partition, down peer) errors the QP:
 	// tear the conn down locally. No ctrlClose — the peer is unreachable and
@@ -165,7 +170,7 @@ func (s *Stack) newConn(qp *rdma.QP) *conn {
 	qp.RecvCQ.OnNotify(func() {
 		// Completion event channel: hand the batch to the owning process.
 		// The proc charges its wakeup (comp-channel wake) only when idle.
-		c.owner().Post(0, func() { c.drainCQ() })
+		c.owner().Post(0, c.drain)
 	})
 	qp.RecvCQ.RequestNotify()
 	// Register the receive ring and announce it. Setup runs on the owner
@@ -235,14 +240,22 @@ func (c *conn) handleData(frameLen int) {
 	frame := c.ring.Bytes()[c.readOff : c.readOff+frameLen]
 	c.readOff += frameLen
 	c.consumed++
-	flags := frame[0]
-	c.reassembly = append(c.reassembly, frame[frameHeader:]...)
-	if flags&flagLast != 0 {
-		msg := c.reassembly
+	if frame[0]&flagLast == 0 {
+		c.reassembly = append(c.reassembly, frame[frameHeader:]...)
+		return
+	}
+	msg := frame[frameHeader:len(frame):len(frame)]
+	if len(c.reassembly) > 0 {
+		msg = append(c.reassembly, msg...)
 		c.reassembly = nil
-		if c.handler != nil && !c.closed {
-			c.handler(msg)
-		}
+	}
+	// A single-frame message is handed over in place: each ring region is
+	// written once (RING_FULL registers a fresh MR rather than reusing the
+	// old one), so the payload stays valid for as long as the handler
+	// keeps it, and the cap stops an append from running into the next
+	// frame.
+	if c.handler != nil && !c.closed {
+		c.handler(msg)
 	}
 }
 
@@ -297,7 +310,7 @@ func (c *conn) Send(payload []byte) {
 			frame[0] = flagLast
 		}
 		copy(frame[frameHeader:], payload[off:off+n])
-		c.pending = append(c.pending, frame)
+		c.pending.Push(frame)
 		off += n
 		if last {
 			break
@@ -311,8 +324,8 @@ func (c *conn) flushPending() {
 	if !c.ready || c.closed {
 		return
 	}
-	for len(c.pending) > 0 && c.msgCredit > 0 && !c.ringWait && !c.closed {
-		frame := c.pending[0]
+	for c.pending.Len() > 0 && c.msgCredit > 0 && !c.ringWait && !c.closed {
+		frame := c.pending.Peek()
 		if c.writeOff+len(frame) > c.remoteSize {
 			// Paper §III-B: receive buffer full → ask the peer to
 			// re-register its MR, stall until fresh MR info arrives.
@@ -320,7 +333,7 @@ func (c *conn) flushPending() {
 			c.sendCtrl([]byte{ctrlRingFul})
 			return
 		}
-		c.pending = c.pending[1:]
+		c.pending.Pop()
 		c.msgCredit--
 		_ = c.qp.PostSend(rdma.SendWR{
 			Op:        rdma.OpWriteImm,
@@ -384,7 +397,7 @@ func (c *conn) teardown() {
 	if c.ring != nil {
 		c.ring.Deregister()
 	}
-	c.pending = nil
+	c.pending = sim.Queue[[]byte]{}
 	if c.onClose != nil {
 		c.onClose()
 	}

@@ -105,23 +105,158 @@ func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
 	}
 }
 
+// msgBytes is the i-th test message: size bytes, distinct per i.
+func msgBytes(i, size int) []byte {
+	b := make([]byte, size)
+	for j := range b {
+		b[j] = byte(i*7 + j)
+	}
+	return b
+}
+
 func TestRingFullTriggersReRegistration(t *testing.T) {
 	w := newWorld()
 	// Tiny ring so a handful of messages exhausts it.
 	cli, srv := dialPair(t, w, func(s *Stack) { s.RingSize = 1024 })
-	n := 0
-	srv.SetHandler(func(b []byte) { n++ })
+	// Single-frame payloads alias the receive ring; keeping them (without
+	// copying) across re-registrations must not let later traffic change
+	// them.
+	var kept [][]byte
+	srv.SetHandler(func(b []byte) { kept = append(kept, b) })
 	w.eng.After(0, func() {
 		for i := 0; i < 100; i++ {
-			cli.Send(make([]byte, 100))
+			cli.Send(msgBytes(i, 100))
 		}
 	})
 	w.eng.Run(0)
-	if n != 100 {
-		t.Fatalf("delivered %d/100 across ring resets", n)
+	if len(kept) != 100 {
+		t.Fatalf("delivered %d/100 across ring resets", len(kept))
 	}
 	if rc := srv.(*conn).RingResets; rc < 5 {
 		t.Fatalf("ring resets = %d, want several with a 1KB ring", rc)
+	}
+	for i, b := range kept {
+		if !bytes.Equal(b, msgBytes(i, 100)) {
+			t.Fatalf("kept payload %d changed after ring resets", i)
+		}
+	}
+}
+
+// Handler payloads may alias the ring; a handler that scribbles over its
+// own payload, or appends to it, must not change what later handlers see.
+func TestHandlerMutatingPayloadDoesNotLeak(t *testing.T) {
+	w := newWorld()
+	cli, srv := dialPair(t, w, nil)
+	n := 0
+	srv.SetHandler(func(b []byte) {
+		if !bytes.Equal(b, msgBytes(n, 48)) {
+			t.Errorf("message %d arrived as %v", n, b)
+		}
+		n++
+		for j := range b {
+			b[j] = 0xEE
+		}
+		_ = append(b, 0xEE, 0xEE, 0xEE, 0xEE)
+	})
+	w.eng.After(0, func() {
+		for i := 0; i < 300; i++ {
+			cli.Send(msgBytes(i, 48))
+		}
+	})
+	w.eng.Run(0)
+	if n != 300 {
+		t.Fatalf("delivered %d/300", n)
+	}
+}
+
+// Sends that do not wait for delivery may reuse their buffer at once:
+// Conn.Send copies, even though the verbs layer below takes ownership of
+// each posted frame.
+func TestSendBufferReusableImmediately(t *testing.T) {
+	w := newWorld()
+	cli, srv := dialPair(t, w, nil)
+	var got [][]byte
+	srv.SetHandler(func(b []byte) { got = append(got, append([]byte(nil), b...)) })
+	w.eng.After(0, func() {
+		buf := make([]byte, 32)
+		for i := 0; i < 50; i++ {
+			copy(buf, msgBytes(i, 32))
+			cli.Send(buf)
+		}
+	})
+	w.eng.Run(0)
+	if len(got) != 50 {
+		t.Fatalf("delivered %d/50", len(got))
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, msgBytes(i, 32)) {
+			t.Fatalf("message %d changed by a later reuse of the send buffer", i)
+		}
+	}
+}
+
+// Dialing, exchanging enough traffic to force ring re-registrations, and
+// closing (from either side) must hand every queue pair and memory region
+// back to the devices.
+func TestConnLifecycleReleasesQPsAndMRs(t *testing.T) {
+	w := newWorld()
+	sa := w.stack("a", false)
+	sb := w.stack("b", false)
+	for _, s := range []*Stack{sa, sb} {
+		s.RingSize = 1024
+	}
+	var srv transport.Conn
+	sb.Listen(7000, func(c transport.Conn) { srv = c })
+	baseA, baseMRA := sa.Device().Resources()
+	baseB, baseMRB := sb.Device().Resources()
+	const cycles = 20
+	resets := uint64(0)
+	for i := 0; i < cycles; i++ {
+		var cli transport.Conn
+		srv = nil
+		w.eng.After(0, func() {
+			sa.Dial(sb.Endpoint(), 7000, func(c transport.Conn, err error) {
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
+				}
+				cli = c
+			})
+		})
+		w.eng.Run(0)
+		if cli == nil || srv == nil {
+			t.Fatalf("cycle %d: dial did not complete", i)
+		}
+		got := 0
+		srv.SetHandler(func([]byte) { got++ })
+		w.eng.After(0, func() {
+			for j := 0; j < 30; j++ {
+				cli.Send(msgBytes(j, 100))
+			}
+		})
+		w.eng.Run(0)
+		if got != 30 {
+			t.Fatalf("cycle %d: delivered %d/30", i, got)
+		}
+		resets += srv.(*conn).RingResets
+		closer := cli
+		if i%2 == 1 {
+			closer = srv
+		}
+		w.eng.After(0, closer.Close)
+		w.eng.Run(0)
+		if !cli.Closed() || !srv.Closed() {
+			t.Fatalf("cycle %d: close did not reach both sides", i)
+		}
+	}
+	if resets < cycles {
+		t.Fatalf("only %d ring resets over %d cycles", resets, cycles)
+	}
+	if qps, mrs := sa.Device().Resources(); qps != baseA || mrs != baseMRA {
+		t.Fatalf("dialer holds %d QPs and %d MRs after %d cycles, baseline %d and %d", qps, mrs, cycles, baseA, baseMRA)
+	}
+	if qps, mrs := sb.Device().Resources(); qps != baseB || mrs != baseMRB {
+		t.Fatalf("listener holds %d QPs and %d MRs after %d cycles, baseline %d and %d", qps, mrs, cycles, baseB, baseMRB)
 	}
 }
 

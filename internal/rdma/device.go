@@ -101,6 +101,10 @@ func (d *Device) sendOutcome(m fabric.Message, acked bool) {
 	}
 }
 
+// Resources reports how many queue pairs and memory regions the device
+// holds (lifecycle tests check that closed connections release both).
+func (d *Device) Resources() (qps, mrs int) { return len(d.qps), len(d.mrs) }
+
 // Endpoint reports the fabric endpoint the device is attached to.
 func (d *Device) Endpoint() *fabric.Endpoint { return d.ep }
 
@@ -123,11 +127,11 @@ type QP struct {
 	SendCQ *CQ
 	RecvCQ *CQ
 
-	recvQueue []RecvWR
+	recvQueue sim.Queue[RecvWR]
 	// stash holds arrived SEND/WRITE_WITH_IMM packets that found no posted
 	// receive (receiver-not-ready); they complete when a recv is posted,
 	// modelling RNR retry.
-	stash  []packet
+	stash  sim.Queue[packet]
 	closed bool
 
 	// Context lets the application attach per-connection state (the client
@@ -320,12 +324,11 @@ func (d *Device) recvOp(src *fabric.Endpoint, p packet) {
 // consumeRecv matches an inbound SEND/WRITE_WITH_IMM against a posted recv,
 // or stashes it until one is posted (RNR retry semantics).
 func (qp *QP) consumeRecv(p packet) {
-	if len(qp.recvQueue) == 0 {
-		qp.stash = append(qp.stash, p)
+	if qp.recvQueue.Len() == 0 {
+		qp.stash.Push(p)
 		return
 	}
-	rw := qp.recvQueue[0]
-	qp.recvQueue = qp.recvQueue[1:]
+	rw := qp.recvQueue.Pop()
 	wc := WC{
 		WRID:    rw.WRID,
 		Op:      OpRecv,
@@ -348,11 +351,9 @@ func (qp *QP) consumeRecv(p packet) {
 func (qp *QP) PostRecv(wr RecvWR) {
 	qp.chargePost()
 	qp.dev.m.wrRecv.Inc()
-	qp.recvQueue = append(qp.recvQueue, wr)
-	if len(qp.stash) > 0 {
-		p := qp.stash[0]
-		qp.stash = qp.stash[1:]
-		qp.consumeRecv(p)
+	qp.recvQueue.Push(wr)
+	if qp.stash.Len() > 0 {
+		qp.consumeRecv(qp.stash.Pop())
 	}
 }
 
@@ -363,12 +364,10 @@ func (qp *QP) PostRecvN(base uint64, n int) {
 	qp.chargePost()
 	qp.dev.m.wrRecv.Add(uint64(n))
 	for i := 0; i < n; i++ {
-		qp.recvQueue = append(qp.recvQueue, RecvWR{WRID: base + uint64(i)})
+		qp.recvQueue.Push(RecvWR{WRID: base + uint64(i)})
 	}
-	for len(qp.stash) > 0 && len(qp.recvQueue) > 0 {
-		p := qp.stash[0]
-		qp.stash = qp.stash[1:]
-		qp.consumeRecv(p)
+	for qp.stash.Len() > 0 && qp.recvQueue.Len() > 0 {
+		qp.consumeRecv(qp.stash.Pop())
 	}
 }
 
@@ -435,7 +434,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	}
 	size := 16
 	if wr.Op != OpRead {
-		p.data = append([]byte(nil), wr.Data...)
+		p.data = wr.Data // the device owns the buffer until completion
 		size += len(wr.Data)
 	}
 	if wr.Op == OpWriteImm {
@@ -464,6 +463,6 @@ func (qp *QP) Close() {
 	}
 	qp.closed = true
 	delete(qp.dev.qps, qp.qpn)
-	qp.stash = nil
-	qp.recvQueue = nil
+	qp.stash = sim.Queue[packet]{}
+	qp.recvQueue = sim.Queue[RecvWR]{}
 }

@@ -83,8 +83,11 @@ type WC struct {
 // arrives while armed, the notify callback fires once and the CQ disarms,
 // matching the ack-and-rearm discipline the paper describes.
 type CQ struct {
-	dev    *Device
-	items  []WC
+	dev   *Device
+	items []WC
+	// spare is the batch the previous Poll returned; the next Poll reuses
+	// its array, so a steady drain allocates no completion slices.
+	spare  []WC
 	armed  bool
 	notify func()
 
@@ -127,16 +130,18 @@ func (cq *CQ) push(wc WC) {
 
 // Poll drains up to max completions (max <= 0 means all). The caller is
 // responsible for charging model.CPUCompletion per harvested CQE on its
-// core; helper ChargePoll does both.
+// core; helper ChargePoll does both. The returned slice is valid until the
+// next Poll on this CQ, which reuses its array.
 func (cq *CQ) Poll(max int) []WC {
-	if max <= 0 || max >= len(cq.items) {
-		out := cq.items
-		cq.items = nil
-		return out
+	n := len(cq.items)
+	if max <= 0 || max > n {
+		max = n
 	}
-	out := cq.items[:max]
-	cq.items = append([]WC(nil), cq.items[max:]...)
-	return out
+	out := cq.items
+	clear(cq.spare)
+	cq.items = append(cq.spare[:0], out[max:]...)
+	cq.spare = out
+	return out[:max]
 }
 
 // ChargePoll polls all pending completions and charges the completion
@@ -193,6 +198,10 @@ func (pd *PD) RegisterMR(size int) *MR {
 }
 
 // SendWR is a send-queue work request.
+//
+// Data belongs to the device from PostSend until the WR completes, as with
+// a verbs send buffer: the caller must not modify or reuse it, and the
+// peer may receive that very slice (a SEND's completion data).
 type SendWR struct {
 	WRID uint64
 	Op   Opcode // OpSend, OpWrite, OpWriteImm, OpRead

@@ -142,7 +142,7 @@ func AppendInvalidatePush(dst []byte, key []byte) []byte {
 // EncodeCommand encodes argv as an array of bulk strings (the client→server
 // wire format).
 func EncodeCommand(argv ...string) []byte {
-	var dst []byte
+	dst := make([]byte, 0, commandLen(argv))
 	dst = AppendArrayHeader(dst, len(argv))
 	for _, a := range argv {
 		dst = AppendBulkString(dst, a)
@@ -152,12 +152,31 @@ func EncodeCommand(argv ...string) []byte {
 
 // EncodeCommandBytes is EncodeCommand for byte-slice arguments.
 func EncodeCommandBytes(argv ...[]byte) []byte {
-	var dst []byte
+	dst := make([]byte, 0, commandLen(argv))
 	dst = AppendArrayHeader(dst, len(argv))
 	for _, a := range argv {
 		dst = AppendBulk(dst, a)
 	}
 	return dst
+}
+
+// commandLen is the encoded length of argv as an array of bulk strings, so
+// the encoders allocate their buffer once.
+func commandLen[T string | []byte](argv []T) int {
+	size := headerLen(len(argv))
+	for _, a := range argv {
+		size += headerLen(len(a)) + len(a) + 2
+	}
+	return size
+}
+
+// headerLen is the encoded length of a *n or $n header line with its CRLF.
+func headerLen(n int) int {
+	digits := 1
+	for ; n >= 10; n /= 10 {
+		digits++
+	}
+	return 1 + digits + 2
 }
 
 // ---- Incremental decoding ----
@@ -166,6 +185,10 @@ func EncodeCommandBytes(argv ...[]byte) []byte {
 type Reader struct {
 	buf []byte
 	pos int
+
+	// spans is ReadCommand's scratch list of argument bounds in buf,
+	// start/end pairs, reused across calls.
+	spans []int
 }
 
 // Feed appends incoming bytes.
@@ -322,6 +345,9 @@ func (r *Reader) ReadCommand() ([][]byte, bool, error) {
 	if r.pos >= len(r.buf) {
 		return nil, false, nil
 	}
+	if argv, ok, done := r.readArgv(); done {
+		return argv, ok, nil
+	}
 	v, ok, err := r.ReadValue()
 	if err != nil || !ok {
 		return nil, ok, err
@@ -337,4 +363,74 @@ func (r *Reader) ReadCommand() ([][]byte, bool, error) {
 		argv[i] = e.Str
 	}
 	return argv, true, nil
+}
+
+// readArgv is ReadCommand's fast path for the input every client sends: an
+// array of one or more non-null bulk strings. It copies all arguments into
+// one buffer and hands out capped subslices of it, so appending to one
+// argument can never overwrite the next. done=false, with the cursor
+// unchanged, means the input is something else (a null, empty or
+// non-bulk array, or malformed); ReadValue then decodes it, and reports
+// any error, exactly as for any other value. An incomplete command is
+// done with ok=false: ReadValue would stop at the same byte.
+func (r *Reader) readArgv() (argv [][]byte, ok, done bool) {
+	save := r.pos
+	incomplete := func() ([][]byte, bool, bool) {
+		r.pos = save
+		return nil, false, true
+	}
+	other := func() ([][]byte, bool, bool) {
+		r.pos = save
+		return nil, false, false
+	}
+	r.pos++ // the '*' the caller saw
+	l, ok := r.line()
+	if !ok {
+		return incomplete()
+	}
+	n, err := strconv.Atoi(string(l))
+	if err != nil || n < 1 {
+		return other()
+	}
+	if n > len(r.buf)-r.pos { // as in readValue: never trust n beyond the input
+		return incomplete()
+	}
+	r.spans = r.spans[:0]
+	total := 0
+	for i := 0; i < n; i++ {
+		if r.pos >= len(r.buf) {
+			return incomplete()
+		}
+		if r.buf[r.pos] != TypeBulk {
+			return other()
+		}
+		r.pos++
+		l, ok := r.line()
+		if !ok {
+			return incomplete()
+		}
+		size, err := strconv.Atoi(string(l))
+		if err != nil || size < 0 {
+			return other()
+		}
+		if size > len(r.buf)-r.pos-2 {
+			return incomplete()
+		}
+		if r.buf[r.pos+size] != '\r' || r.buf[r.pos+size+1] != '\n' {
+			return other()
+		}
+		r.spans = append(r.spans, r.pos, r.pos+size)
+		total += size
+		r.pos += size + 2
+	}
+	args := make([]byte, total)
+	argv = make([][]byte, n)
+	off := 0
+	for i := range argv {
+		m := copy(args[off:], r.buf[r.spans[2*i]:r.spans[2*i+1]])
+		argv[i] = args[off : off+m : off+m]
+		off += m
+	}
+	r.compact()
+	return argv, true, true
 }

@@ -194,3 +194,57 @@ func TestValueStringRendering(t *testing.T) {
 		t.Fatalf("render %q", v.String())
 	}
 }
+
+// ReadCommand packs all arguments into one buffer; each is capped at its
+// own length, so growing one argument reallocates it instead of writing
+// over the next.
+func TestReadCommandArgsDoNotAlias(t *testing.T) {
+	var r Reader
+	r.Feed(EncodeCommand("SET", "key", "value", "EX", "10"))
+	argv, ok, err := r.ReadCommand()
+	if err != nil || !ok || len(argv) != 5 {
+		t.Fatalf("ReadCommand = %q, %v, %v", argv, ok, err)
+	}
+	want := []string{"SET", "key", "value", "EX", "10"}
+	for i := range argv[:len(argv)-1] {
+		grown := append(argv[i], "XXXXXXXX"...)
+		grown[0] = '!'
+		if string(argv[i+1]) != want[i+1] {
+			t.Fatalf("append to argv[%d] changed argv[%d] to %q", i, i+1, argv[i+1])
+		}
+	}
+	r.Feed(EncodeCommand("GET", "other"))
+	if next, _, _ := r.ReadCommand(); string(next[1]) != "other" || string(argv[1]) != "key" {
+		t.Fatalf("a later command changed earlier arguments: %q then %q", argv, next)
+	}
+}
+
+func BenchmarkReadCommand(b *testing.B) {
+	cmd := EncodeCommand("SET", "key:000123456", string(bytes.Repeat([]byte{'v'}, 64)))
+	var r Reader
+	b.ReportAllocs()
+	b.SetBytes(int64(len(cmd)))
+	for i := 0; i < b.N; i++ {
+		r.Feed(cmd)
+		if _, ok, err := r.ReadCommand(); !ok || err != nil {
+			b.Fatalf("ReadCommand: %v %v", ok, err)
+		}
+	}
+}
+
+// The encoders size their buffer up front; the size must be exact for
+// any argument lengths, including multi-digit ones.
+func TestEncodeCommandPresizesExactly(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 12345} {
+		arg := string(bytes.Repeat([]byte{'x'}, n))
+		for _, b := range [][]byte{EncodeCommand("SET", arg), EncodeCommandBytes([]byte("SET"), []byte(arg))} {
+			if len(b) != cap(b) {
+				t.Fatalf("arg of %d bytes: encoded %d bytes into cap %d", n, len(b), cap(b))
+			}
+		}
+	}
+	argv := make([]string, 12)
+	if b := EncodeCommand(argv...); len(b) != cap(b) || !bytes.HasPrefix(b, []byte("*12\r\n$0\r\n\r\n")) {
+		t.Fatalf("12 empty args: %q (cap %d)", b, cap(b))
+	}
+}

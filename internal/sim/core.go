@@ -15,8 +15,13 @@ type Core struct {
 	// Speed is the core's throughput relative to the reference host core.
 	Speed float64
 
-	queue       []coreTask
+	queue       Queue[coreTask]
 	dispatching bool
+	// cur is the callback of the task in flight; fire (c.complete, bound
+	// once at construction) runs it at the task's completion time, so a
+	// dispatch schedules no closure of its own.
+	cur  func()
+	fire func()
 
 	busyUntil Time
 	busyAccum Duration // total busy time, for utilization reporting
@@ -35,7 +40,9 @@ func NewCore(eng *Engine, name string, speed float64) *Core {
 	if speed <= 0 {
 		panic(fmt.Sprintf("sim: core %s must have positive speed, got %v", name, speed))
 	}
-	return &Core{eng: eng, name: name, Speed: speed}
+	c := &Core{eng: eng, name: name, Speed: speed}
+	c.fire = c.complete
+	return c
 }
 
 // Name reports the identifier given at construction.
@@ -54,7 +61,7 @@ func (c *Core) scale(cost Duration) Duration {
 // additional CPU discovered during processing, which delays everything
 // queued behind it.
 func (c *Core) Exec(cost Duration, fn func()) {
-	c.queue = append(c.queue, coreTask{cost: cost, fn: fn})
+	c.queue.Push(coreTask{cost: cost, fn: fn})
 	if !c.dispatching {
 		c.dispatching = true
 		c.dispatch()
@@ -62,8 +69,7 @@ func (c *Core) Exec(cost Duration, fn func()) {
 }
 
 func (c *Core) dispatch() {
-	t := c.queue[0]
-	c.queue = c.queue[1:]
+	t := c.queue.Pop()
 	start := c.eng.Now()
 	if c.busyUntil > start {
 		start = c.busyUntil
@@ -75,16 +81,22 @@ func (c *Core) dispatch() {
 	d := c.scale(t.cost)
 	c.busyUntil = start.Add(d)
 	c.busyAccum += d
-	c.eng.At(c.busyUntil, func() {
-		if t.fn != nil {
-			t.fn()
-		}
-		if len(c.queue) > 0 {
-			c.dispatch()
-		} else {
-			c.dispatching = false
-		}
-	})
+	c.cur = t.fn
+	c.eng.Schedule(c.busyUntil, c.fire)
+}
+
+// complete runs the finished task's callback, then dispatches the next.
+func (c *Core) complete() {
+	fn := c.cur
+	c.cur = nil
+	if fn != nil {
+		fn()
+	}
+	if c.queue.Len() > 0 {
+		c.dispatch()
+	} else {
+		c.dispatching = false
+	}
 }
 
 // Charge consumes additional CPU at the core's current completion point and
@@ -110,7 +122,7 @@ func (c *Core) BusyUntil() Time { return c.busyUntil }
 func (c *Core) Idle() bool { return !c.dispatching && c.busyUntil <= c.eng.Now() }
 
 // QueueLen reports the number of tasks waiting behind the current one.
-func (c *Core) QueueLen() int { return len(c.queue) }
+func (c *Core) QueueLen() int { return c.queue.Len() }
 
 // Utilization reports the fraction of time the core spent busy between its
 // first use and the given end time.

@@ -17,8 +17,13 @@ type Proc struct {
 	// WakeupCost is charged when the process transitions from idle to busy.
 	WakeupCost Duration
 
-	queue     []queuedTask
+	queue     Queue[queuedTask]
 	scheduled bool
+	// cur is the callback of the task the core is running for this proc;
+	// run (p.complete, bound once at construction) is what the core calls,
+	// so posting a task allocates no closure.
+	cur func()
+	run func()
 
 	// Wakeups counts idle→busy transitions (for CPU-efficiency reporting).
 	Wakeups uint64
@@ -33,14 +38,16 @@ type queuedTask struct {
 
 // NewProc creates a process on the given core.
 func NewProc(eng *Engine, core *Core, wakeup Duration) *Proc {
-	return &Proc{Core: core, eng: eng, WakeupCost: wakeup}
+	p := &Proc{Core: core, eng: eng, WakeupCost: wakeup}
+	p.run = p.complete
+	return p
 }
 
 // Post enqueues a task that consumes cost CPU before its effects (fn) are
 // applied. fn runs at the task's completion time and may consume further CPU
 // with p.Core.Charge; any message it sends departs at the charged time.
 func (p *Proc) Post(cost Duration, fn func()) {
-	p.queue = append(p.queue, queuedTask{cost: cost, fn: fn})
+	p.queue.Push(queuedTask{cost: cost, fn: fn})
 	if !p.scheduled {
 		p.scheduled = true
 		wake := Duration(0)
@@ -53,21 +60,26 @@ func (p *Proc) Post(cost Duration, fn func()) {
 }
 
 func (p *Proc) runNext(extra Duration) {
-	t := p.queue[0]
-	p.queue = p.queue[1:]
-	p.Core.Exec(extra+t.cost, func() {
-		p.Handled++
-		if t.fn != nil {
-			t.fn()
-		}
-		if len(p.queue) > 0 {
-			p.runNext(0)
-		} else {
-			p.scheduled = false
-		}
-	})
+	t := p.queue.Pop()
+	p.cur = t.fn
+	p.Core.Exec(extra+t.cost, p.run)
+}
+
+// complete runs the serviced task's callback, then hands the core the next.
+func (p *Proc) complete() {
+	p.Handled++
+	fn := p.cur
+	p.cur = nil
+	if fn != nil {
+		fn()
+	}
+	if p.queue.Len() > 0 {
+		p.runNext(0)
+	} else {
+		p.scheduled = false
+	}
 }
 
 // QueueLen reports the number of tasks waiting (not counting the one being
 // serviced).
-func (p *Proc) QueueLen() int { return len(p.queue) }
+func (p *Proc) QueueLen() int { return p.queue.Len() }

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -56,7 +55,9 @@ type Event struct {
 	seq      uint64
 	fn       func()
 	canceled bool
-	index    int // heap index, -1 once popped
+	// recycled marks an event from Engine.Schedule: no caller holds it, so
+	// it returns to the engine's free list once popped.
+	recycled bool
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -74,33 +75,54 @@ func (e *Event) Canceled() bool { return e.canceled }
 // When reports the virtual time the event is scheduled for.
 func (e *Event) When() Time { return e.at }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). Since seq
+// is unique the order is total, so the pop sequence does not depend on the
+// heap's internal layout.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() *Event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	for i := 0; ; {
+		small := i
+		if l := 2*i + 1; l < n && q.less(l, small) {
+			small = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, small) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		q[i], q[small] = q[small], q[i]
+		i = small
+	}
+	*h = q
+	return ev
 }
 
 // Engine is the simulation kernel: a virtual clock plus an event queue.
@@ -112,6 +134,9 @@ type Engine struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
+
+	// free holds fired Schedule events for reuse.
+	free []*Event
 
 	// Processed counts events executed so far (for runaway detection and
 	// test assertions).
@@ -138,13 +163,35 @@ func (e *Engine) NewRand() *rand.Rand {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) *Event {
+	ev := &Event{}
+	e.push(ev, t, fn)
+	return ev
+}
+
+// Schedule runs fn at absolute virtual time t, like At, but returns no
+// handle: the event cannot be cancelled, and the engine recycles it once
+// it fires. It takes a sequence number exactly as At does, so mixing the
+// two keeps the tie-break order. The hot paths (core dispatch, fabric
+// delivery) use it with callbacks bound once, so steady-state scheduling
+// allocates nothing.
+func (e *Engine) Schedule(t Time, fn func()) {
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{recycled: true}
+	}
+	e.push(ev, t, fn)
+}
+
+func (e *Engine) push(ev *Event, t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
-	return ev
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	e.events.push(ev)
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -201,13 +248,16 @@ func (e *Engine) Run(horizon Time) Time {
 			e.now = horizon
 			return e.now
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		if ev.canceled {
 			continue
 		}
 		e.now = ev.at
 		fn := ev.fn
 		ev.fn = nil
+		if ev.recycled {
+			e.free = append(e.free, ev)
+		}
 		e.Processed++
 		fn()
 	}
